@@ -1,28 +1,24 @@
 """3-uniform hypergraphs: canonical triples, pair links, pseudo-path connectivity.
 
 Vertices are integers in [0, n).  An edge is a strictly increasing triple
-(a, b, c).  Triples are totally ordered by their colex index
-C(c,3) + C(b,2) + C(a,1), which is also the bit position used by the dense
-edge bitmap and the ``h3bits`` file format.
-
-Set-valued queries are backed by integer bitmasks: the link of a pair is a
-mask over vertex ids, the dense edge store is a mask over colex indices.
+(a, b, c), totally ordered by its colex index C(c,3) + C(b,2) + C(a,1).
+Every edge set -- a host's edges, a coloring's red class -- is one integer
+whose bit i is set iff the triple of colex index i is present; the same
+integer is the payload of the ``h3bits`` file format.  Triples are decoded
+from the set bits on demand and come out in colex order.  The link of a
+pair is a bitmask over vertex ids, built lazily from the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from math import comb
 
 from .errors import InvalidPairError, NotAnEdgeError
 
 Triple = tuple[int, int, int]
 Pair = tuple[int, int]
-
-# Dense bitmap storage kicks in at this edge density (fraction of C(n,3)).
-DENSE_THRESHOLD = 0.25
 
 
 class Color(str, Enum):
@@ -93,119 +89,141 @@ def mask_bits(mask: int):
         mask ^= low
 
 
+def index_mask(indices, size: int) -> int:
+    """Integer with exactly the given bit positions set, each below ``size``."""
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def edge_mask(n: int, edges, vertex_mask: int) -> int:
+    """Colex mask of canonical triples whose vertices lie in ``vertex_mask``."""
+    indices = []
+    for t in edges:
+        if len(t) != 3 or not (t[0] < t[1] < t[2]):
+            raise ValueError(f"edge {t} is not a canonical triple")
+        if triple_mask(t) & ~vertex_mask:
+            raise ValueError(f"edge {t} uses a vertex outside the vertex set")
+        indices.append(colex_index(t))
+    return index_mask(indices, comb(n, 3))
+
+
+def within_mask(vertex_mask: int) -> int:
+    """Colex mask of every triple with all three vertices in ``vertex_mask``."""
+    out = pairs = 0  # pairs: colex mask of the pairs below the current vertex
+    for c in mask_bits(vertex_mask):
+        out |= pairs << comb(c, 3)
+        pairs |= (vertex_mask & ((1 << c) - 1)) << comb(c, 2)
+    return out
+
+
+def decode_edges(bits: int) -> tuple[Triple, ...]:
+    """Triples of the set bits of a colex mask, in colex order.
+
+    The mask is consumed in blocks: C(c,2) bits for the triples with largest
+    vertex c, within which b bits for each second-largest vertex b.
+    """
+    out = []
+    c = 2
+    while bits:
+        width = comb(c, 2)
+        block = bits & ((1 << width) - 1)
+        bits >>= width
+        b = 1
+        while block:
+            part = block & ((1 << b) - 1)
+            block >>= b
+            if part:
+                out += [(a, b, c) for a, bit in enumerate(reversed(f"{part:b}")) if bit == "1"]
+            b += 1
+        c += 1
+    return tuple(out)
+
+
 class Hypergraph3:
     """Immutable 3-uniform hypergraph on a vertex subset of [0, n).
 
     ``vertices`` defaults to all of range(n); induced subhypergraphs keep the
-    original vertex labels and simply restrict the vertex set.  Edges are
-    stored either as a dense bitmap over colex indices (near-complete hosts)
-    or as a frozenset of triples, switching at DENSE_THRESHOLD density.
-    Pair links are built lazily and cached; instances are safe to share
-    across threads once constructed.
+    original vertex labels and simply restrict the vertex set.  The state is
+    ``n``, the vertex bitmask ``vertex_mask`` and the colex edge bitmask
+    ``edge_bits``; ``edges`` decodes the latter on demand.  Pair links are
+    built lazily and cached; instances are safe to share across threads once
+    constructed.
     """
 
-    __slots__ = (
-        "n",
-        "vertices",
-        "_edges_sorted",
-        "_edge_set",
-        "_edge_bits",
-        "_dense",
-        "_pair_links",
-        "_vertex_mask",
-    )
+    __slots__ = ("n", "vertex_mask", "edge_bits", "_pair_links")
 
     def __init__(self, n: int, edges, vertices=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        vmask = (1 << n) - 1
+        if vertices is not None:
+            vmask = 0
+            for v in vertices:
+                if v < 0 or v >= n:
+                    raise ValueError("vertices must lie in [0, n)")
+                vmask |= 1 << v
+        self._init(n, edge_mask(n, edges, vmask), vmask)
+
+    def _init(self, n: int, edge_bits: int, vertex_mask: int) -> None:
         self.n = n
-        if vertices is None:
-            self.vertices = frozenset(range(n))
-        else:
-            self.vertices = frozenset(vertices)
-            if any(v < 0 or v >= n for v in self.vertices):
-                raise ValueError("vertices must lie in [0, n)")
-        vmask = 0
-        for v in self.vertices:
-            vmask |= 1 << v
-        self._vertex_mask = vmask
-
-        edges = sorted(set(edges), key=colex_index)
-        for t in edges:
-            if len(t) != 3 or not (t[0] < t[1] < t[2]):
-                raise ValueError(f"edge {t} is not a canonical triple")
-            if triple_mask(t) & ~vmask:
-                raise ValueError(f"edge {t} uses a vertex outside the vertex set")
-        self._edges_sorted = tuple(edges)
-
-        total = comb(n, 3)
-        self._dense = total > 0 and len(edges) >= DENSE_THRESHOLD * total
-        if self._dense:
-            bits = 0
-            for t in edges:
-                bits |= 1 << colex_index(t)
-            self._edge_bits = bits
-            self._edge_set = None
-        else:
-            self._edge_bits = None
-            self._edge_set = frozenset(edges)
+        self.edge_bits = edge_bits
+        self.vertex_mask = vertex_mask
         self._pair_links = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_bits(cls, n: int, edge_bits: int, vertex_mask: int) -> "Hypergraph3":
+        """Host from a colex edge mask whose triples lie inside ``vertex_mask``."""
+        h = cls.__new__(cls)
+        h._init(n, edge_bits, vertex_mask)
+        return h
+
+    @classmethod
     def complete(cls, n: int) -> "Hypergraph3":
-        return cls(n, combinations(range(n), 3))
+        return cls.from_bits(n, (1 << comb(n, 3)) - 1, (1 << n) - 1)
 
     def induced(self, vertex_subset) -> "Hypergraph3":
         """Subhypergraph on a vertex subset, keeping original labels."""
-        keep = frozenset(vertex_subset)
-        if not keep <= self.vertices:
-            raise ValueError("subset must be contained in the vertex set")
         kmask = 0
-        for v in keep:
+        for v in vertex_subset:
             kmask |= 1 << v
-        edges = [t for t in self._edges_sorted if triple_mask(t) & ~kmask == 0]
-        return Hypergraph3(self.n, edges, vertices=keep)
-
-    def restricted_to_edges(self, edges) -> "Hypergraph3":
-        """Same vertex set, edge set replaced (used for color classes)."""
-        return Hypergraph3(self.n, edges, vertices=self.vertices)
+        if kmask & ~self.vertex_mask:
+            raise ValueError("subset must be contained in the vertex set")
+        return Hypergraph3.from_bits(self.n, self.edge_bits & within_mask(kmask), kmask)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(mask_bits(self.vertex_mask))
+
+    @property
     def t(self) -> int:
         """Number of vertices (the proof-side t)."""
-        return len(self.vertices)
+        return self.vertex_mask.bit_count()
 
     @property
     def edges(self) -> tuple[Triple, ...]:
-        """Edges in colex order."""
-        return self._edges_sorted
+        """Edges in colex order, decoded from the edge bits."""
+        return decode_edges(self.edge_bits)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges_sorted)
-
-    @property
-    def vertex_mask(self) -> int:
-        return self._vertex_mask
-
-    @property
-    def dense_storage(self) -> bool:
-        return self._dense
+        return self.edge_bits.bit_count()
 
     def has_edge(self, t: Triple) -> bool:
-        if self._dense:
-            return bool(self._edge_bits >> colex_index(t) & 1)
-        return t in self._edge_set
+        a, b, c = t
+        return 0 <= a < b < c and bool(self.edge_bits >> colex_index(t) & 1)
 
-    def _links(self) -> dict[Pair, int]:
+    def pair_links(self) -> dict[Pair, int]:
+        """Link bitmask of every shadow pair (x, y), x < y; built once."""
         links = self._pair_links
         if links is None:
             links = {}
-            for a, b, c in self._edges_sorted:
+            for a, b, c in self.edges:
                 ab = (a, b)
                 prev = links.get(ab, 0)
                 links[ab] = prev | (1 << c)
@@ -220,7 +238,7 @@ class Hypergraph3:
 
     def link_mask(self, x: int, y: int) -> int:
         """Bitmask of the link N(x, y); 0 when the pair is inactive."""
-        return self._links().get(pair_key(x, y), 0)
+        return self.pair_links().get(pair_key(x, y), 0)
 
     def link(self, x: int, y: int) -> set[int]:
         """N(x, y) = { z : {x,y,z} is an edge }."""
@@ -228,7 +246,7 @@ class Hypergraph3:
 
     def shadow(self) -> set[Pair]:
         """All pairs contained in at least one edge."""
-        return set(self._links().keys())
+        return set(self.pair_links())
 
     def active_pairs(self) -> set[Pair]:
         """A pair is active iff its link is nonempty; identical to shadow()."""
@@ -237,7 +255,7 @@ class Hypergraph3:
     def neighbor_mask(self, x: int) -> int:
         """Bitmask of N(x) = { y : xy is in the shadow }."""
         out = 0
-        for (a, b), m in self._links().items():
+        for (a, b), m in self.pair_links().items():
             if a == x:
                 out |= 1 << b
             elif b == x:
@@ -246,13 +264,6 @@ class Hypergraph3:
                 out |= (1 << a) | (1 << b)
         return out
 
-    def support(self) -> frozenset[int]:
-        """Vertices contained in at least one edge."""
-        out = 0
-        for t in self._edges_sorted:
-            out |= triple_mask(t)
-        return frozenset(mask_bits(out))
-
     def __repr__(self) -> str:
         return f"Hypergraph3(n={self.n}, t={self.t}, edges={self.edge_count})"
 
@@ -260,45 +271,50 @@ class Hypergraph3:
 # -- connectivity ----------------------------------------------------------
 
 
+def pair_component(h: Hypergraph3, x: int, y: int) -> tuple[list[Pair], dict[int, int]]:
+    """Shadow pairs of the pseudo-path component through the shadow pair xy.
+
+    Breadth-first over pairs: from pair xy, every z in the link of xy
+    reaches the pairs xz and yz.  Also returns, per vertex, the mask of its
+    partners in those pairs (its neighbor mask inside the component).
+    """
+    links = h.pair_links()
+    pairs = [(x, y)]
+    partners = {x: 1 << y, y: 1 << x}
+    for x, y in pairs:  # the list grows while it is scanned
+        link = links[x, y]
+        for u in (x, y):
+            new = link & ~partners[u]
+            if new:
+                partners[u] |= new
+                for z in mask_bits(new):
+                    partners[z] = partners.get(z, 0) | (1 << u)
+                    pairs.append((u, z) if u < z else (z, u))
+    return pairs, partners
+
+
 def connected_components(h: Hypergraph3) -> tuple[tuple[Triple, ...], ...]:
     """Partition of the edge set into pseudo-path components.
 
     Two edges are equivalent iff a sequence of edges joins them with every
-    consecutive pair sharing exactly two vertices.  Components are returned
+    consecutive pair sharing exactly two vertices; equivalently, their
+    shadow pairs lie in one ``pair_component``.  Components are returned
     with edges in colex order, sorted by their first edge.
     """
+    label: dict[Pair, int] = {}
+    count = 0
+    for p in h.pair_links():
+        if p not in label:
+            for q in pair_component(h, *p)[0]:
+                label[q] = count
+            count += 1
     edges = h.edges
-    m = len(edges)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            if ri > rj:
-                ri, rj = rj, ri
-            parent[rj] = ri
-
-    buckets: dict[Pair, int] = {}
-    for idx, (a, b, c) in enumerate(edges):
-        for p in ((a, b), (a, c), (b, c)):
-            first = buckets.get(p)
-            if first is None:
-                buckets[p] = idx
-            else:
-                union(first, idx)
-
+    if count < 2:
+        return (edges,) if count else ()
     groups: dict[int, list[Triple]] = {}
-    for idx, t in enumerate(edges):
-        groups.setdefault(find(idx), []).append(t)
-    comps = [tuple(g) for g in groups.values()]
-    comps.sort(key=lambda g: colex_index(g[0]))
-    return tuple(comps)
+    for t in edges:  # colex order, so groups come out sorted by first edge
+        groups.setdefault(label[t[0], t[1]], []).append(t)
+    return tuple(tuple(g) for g in groups.values())
 
 
 @dataclass(frozen=True)
@@ -324,16 +340,18 @@ class PseudoPath:
         )
 
 
-def _edge_neighbors(h: Hypergraph3, g: Triple) -> list[Triple]:
-    """Edges sharing exactly two vertices with g, in colex order."""
+def edge_neighbors(h: Hypergraph3, g: Triple) -> list[Triple]:
+    """Edges sharing exactly two vertices with g.
+
+    Pairs ab, ac, bc of g in turn, each pair's completions ascending.
+    """
     a, b, c = g
-    out = []
-    for (x, y), skip in (((a, b), c), ((a, c), b), ((b, c), a)):
-        mask = h.link_mask(x, y) & ~(1 << skip)
-        for z in mask_bits(mask):
-            out.append(canon_triple(x, y, z))
-    out.sort(key=colex_index)
-    return out
+    gmask = triple_mask(g)
+    return [
+        canon_triple(x, y, z)
+        for x, y in ((a, b), (a, c), (b, c))
+        for z in mask_bits(h.link_mask(x, y) & ~gmask)
+    ]
 
 
 def connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
@@ -354,7 +372,7 @@ def connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
     while frontier:
         next_frontier = []
         for g in frontier:
-            for nb in _edge_neighbors(h, g):
+            for nb in sorted(edge_neighbors(h, g), key=colex_index):
                 if nb in parents:
                     continue
                 parents[nb] = g
@@ -373,18 +391,29 @@ def connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
 
 
 class Coloring:
-    """Total red/blue assignment on the edges of a host hypergraph."""
+    """Total red/blue assignment on the edges of a host hypergraph.
 
-    __slots__ = ("host", "red", "blue", "_subs")
+    The state is ``red_bits``, a colex edge mask inside the host's edge
+    bits; blue is every other host edge.
+    """
+
+    __slots__ = ("host", "red_bits", "_subs")
 
     def __init__(self, host: Hypergraph3, red_edges):
-        self.host = host
-        self.red = frozenset(red_edges)
-        host_edges = frozenset(host.edges)
-        if not self.red <= host_edges:
+        self._init(host, edge_mask(host.n, red_edges, host.vertex_mask))
+
+    def _init(self, host: Hypergraph3, red_bits: int) -> None:
+        if red_bits & ~host.edge_bits:
             raise ValueError("red edges must be edges of the host")
-        self.blue = host_edges - self.red
+        self.host = host
+        self.red_bits = red_bits
         self._subs: dict[Color, Hypergraph3] = {}
+
+    @classmethod
+    def from_bits(cls, host: Hypergraph3, red_bits: int) -> "Coloring":
+        col = cls.__new__(cls)
+        col._init(host, red_bits)
+        return col
 
     @classmethod
     def from_sequence(cls, host: Hypergraph3, colors) -> "Coloring":
@@ -395,33 +424,43 @@ class Coloring:
         red = [t for t, c in zip(host.edges, colors) if Color(c) is Color.RED]
         return cls(host, red)
 
+    @property
+    def blue_bits(self) -> int:
+        return self.host.edge_bits & ~self.red_bits
+
+    @property
+    def red(self) -> set[Triple]:
+        """Red triples, decoded on demand."""
+        return set(decode_edges(self.red_bits))
+
+    @property
+    def blue(self) -> set[Triple]:
+        """Blue triples, decoded on demand."""
+        return set(decode_edges(self.blue_bits))
+
     def color_of(self, t: Triple) -> Color:
-        if t in self.red:
-            return Color.RED
-        if t in self.blue:
-            return Color.BLUE
-        raise NotAnEdgeError(f"{t} is not an edge of the host")
-
-    def is_red(self, t: Triple) -> bool:
-        return t in self.red
-
-    def edges_of(self, color: Color) -> frozenset[Triple]:
-        return self.red if color is Color.RED else self.blue
+        if not self.host.has_edge(t):
+            raise NotAnEdgeError(f"{t} is not an edge of the host")
+        return Color.RED if self.red_bits >> colex_index(t) & 1 else Color.BLUE
 
     def subhypergraph(self, color: Color) -> Hypergraph3:
         """Host restricted to the edges of one color (cached)."""
         sub = self._subs.get(color)
         if sub is None:
-            sub = self.host.restricted_to_edges(self.edges_of(color))
+            bits = self.red_bits if color is Color.RED else self.blue_bits
+            sub = Hypergraph3.from_bits(self.host.n, bits, self.host.vertex_mask)
             self._subs[color] = sub
         return sub
 
     def color_sequence(self) -> list[str]:
-        return [self.color_of(t).value for t in self.host.edges]
+        """'R' or 'B' for each host edge, in colex order."""
+        host = f"{self.host.edge_bits:b}"
+        red = f"{self.red_bits:0{len(host)}b}"
+        return ["R" if r == "1" else "B" for h, r in zip(host[::-1], red[::-1]) if h == "1"]
 
     def restrict(self, host: Hypergraph3) -> "Coloring":
         """Coloring induced on a subhypergraph of the current host."""
-        return Coloring(host, [t for t in host.edges if t in self.red])
+        return Coloring.from_bits(host, self.red_bits & host.edge_bits)
 
     def __repr__(self) -> str:
-        return f"Coloring(red={len(self.red)}, blue={len(self.blue)})"
+        return f"Coloring(red={self.red_bits.bit_count()}, blue={self.blue_bits.bit_count()})"

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Color, Coloring, Hypergraph3, Triple, canon_triple
+from .core import Color, Coloring, Hypergraph3, Triple, canon_triple, mask_bits
 from .errors import InstanceTooLargeError
 
 SEARCH_HARD_CAP = 16
@@ -193,58 +193,47 @@ class _Deadline:
         return self.hit
 
 
-def _tight_hamilton(support: tuple[int, ...], edge_ok, deadline: _Deadline) -> tuple[int, ...] | None:
+def _tight_hamilton(support: tuple[int, ...], links: dict, deadline: _Deadline) -> tuple[int, ...] | None:
     """First tight cycle using every vertex of ``support``, or None.
 
     Depth-first extension of a tight path anchored at the smallest vertex,
-    candidates in ascending id order; reflections are skipped by requiring
-    the second vertex to be smaller than the last.
+    candidates in ascending id order taken from the link mask of the last
+    two vertices; reflections are skipped by requiring the second vertex to
+    be smaller than the last.
     """
     s = len(support)
     order = [support[0]] + [0] * (s - 1)
-    used = [False] * s
-    used[0] = True
-    pos = {v: i for i, v in enumerate(support)}
 
-    def extend(depth: int) -> bool:
+    def link(x: int, y: int) -> int:
+        return links.get((x, y) if x < y else (y, x), 0)
+
+    def extend(depth: int, free: int) -> bool:
         if deadline.expired():
             return False
         if depth == s:
             return (
                 order[1] < order[s - 1]
-                and edge_ok(order[s - 2], order[s - 1], order[0])
-                and edge_ok(order[s - 1], order[0], order[1])
+                and link(order[s - 2], order[s - 1]) >> order[0] & 1 == 1
+                and link(order[s - 1], order[0]) >> order[1] & 1 == 1
             )
-        for v in support:
-            if used[pos[v]]:
-                continue
-            if depth >= 2 and not edge_ok(order[depth - 2], order[depth - 1], v):
-                continue
+        cand = free if depth < 2 else free & link(order[depth - 2], order[depth - 1])
+        for v in mask_bits(cand):
             order[depth] = v
-            used[pos[v]] = True
-            if extend(depth + 1):
+            if extend(depth + 1, free & ~(1 << v)):
                 return True
-            used[pos[v]] = False
         return False
 
-    if extend(1):
+    free = 0
+    for v in support[1:]:
+        free |= 1 << v
+    if extend(1, free):
         return tuple(order)
     return None
 
 
 def _cycle_on(support, col: Coloring, color: Color, deadline: _Deadline) -> TightCycle | None:
-    red = col.red
-
-    if color is Color.RED:
-        def edge_ok(x, y, z):
-            return canon_triple(x, y, z) in red
-    else:
-        blue = col.blue
-
-        def edge_ok(x, y, z):
-            return canon_triple(x, y, z) in blue
-
-    found = _tight_hamilton(tuple(support), edge_ok, deadline)
+    links = col.subhypergraph(color).pair_links()
+    found = _tight_hamilton(tuple(support), links, deadline)
     return None if found is None else TightCycle(found)
 
 
@@ -268,7 +257,7 @@ def search_cycle_pair(
     n = h.t
     if n > SEARCH_HARD_CAP:
         raise InstanceTooLargeError(f"cycle search capped at {SEARCH_HARD_CAP} vertices")
-    if col.host is not h and frozenset(col.host.edges) != frozenset(h.edges):
+    if col.host.edge_bits != h.edge_bits:
         raise ValueError("coloring does not belong to the searched hypergraph")
     vertices = sorted(h.vertices)
     deadline = _Deadline(budget_ms)

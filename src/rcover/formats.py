@@ -9,7 +9,9 @@ h3json
 h3bits
     Complete colorings only.  Header line ``H3BITS n`` followed by
     ceil(C(n,3) / 8) bytes.  Bit j of byte k (least significant bit first)
-    is the color of the triple with colex index 8k + j; 1 means red.
+    is the color of the triple with colex index 8k + j; 1 means red.  The
+    payload is the coloring's red bits in little-endian order, and the
+    padding bits after bit C(n,3) - 1 must be zero.
 
 Result payloads (cover results, cycle pairs, oracle reports) are plain JSON
 documents produced by the ``*_to_json`` helpers below; timing data is never
@@ -22,7 +24,7 @@ import json
 from math import comb
 from pathlib import Path
 
-from .core import Color, Coloring, Hypergraph3, PseudoPath, colex_index, colex_inverse
+from .core import Color, Coloring, Hypergraph3, PseudoPath, colex_index
 from .errors import FormatError
 
 _H3BITS_MAGIC = b"H3BITS"
@@ -38,7 +40,7 @@ def canonical_json(obj) -> str:
 def h3json_dumps(h: Hypergraph3, col: Coloring | None = None) -> str:
     doc: dict = {"n": h.n, "edges": [list(t) for t in h.edges]}
     if col is not None:
-        if col.host is not h and frozenset(col.host.edges) != frozenset(h.edges):
+        if col.host.edge_bits != h.edge_bits:
             raise FormatError("coloring does not match the hypergraph")
         doc["colors"] = col.color_sequence()
     return canonical_json(doc)
@@ -75,11 +77,8 @@ def h3bits_dumps(col: Coloring) -> bytes:
     total = comb(h.n, 3)
     if h.edge_count != total:
         raise FormatError("h3bits requires a complete host")
-    buf = bytearray((total + 7) // 8)
-    for t in col.red:
-        i = colex_index(t)
-        buf[i >> 3] |= 1 << (i & 7)
-    return _H3BITS_MAGIC + b" " + str(h.n).encode() + b"\n" + bytes(buf)
+    payload = col.red_bits.to_bytes((total + 7) // 8, "little")
+    return _H3BITS_MAGIC + b" " + str(h.n).encode() + b"\n" + payload
 
 
 def h3bits_loads(data: bytes) -> tuple[Hypergraph3, Coloring]:
@@ -101,11 +100,11 @@ def h3bits_loads(data: bytes) -> tuple[Hypergraph3, Coloring]:
         raise FormatError(
             f"expected {(total + 7) // 8} payload bytes, got {len(body)}"
         )
+    red = int.from_bytes(body, "little")
+    if red >> total:
+        raise FormatError("non-zero padding bits after the last color")
     host = Hypergraph3.complete(n)
-    red = [
-        colex_inverse(i) for i in range(total) if body[i >> 3] >> (i & 7) & 1
-    ]
-    return host, Coloring(host, red)
+    return host, Coloring.from_bits(host, red)
 
 
 # -- file helpers ------------------------------------------------------------

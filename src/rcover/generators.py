@@ -7,9 +7,9 @@ from (model, n, seed) alone.
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
-from .core import Color, Coloring, Hypergraph3, colex_index
+from .core import Color, Coloring, Hypergraph3, index_mask, within_mask
 from .rng import CounterRng
 
 
@@ -17,16 +17,15 @@ def uniform_instance(n: int, p: float, seed: int) -> Coloring:
     """Each triple red independently with probability p (draw i = triple i)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    host = Hypergraph3.complete(n)
+    total = comb(n, 3)
     rng = CounterRng(seed)
-    red = [t for t in host.edges if rng.unit(colex_index(t)) < p]
-    return Coloring(host, red)
+    red = index_mask((i for i in range(total) if rng.unit(i) < p), total)
+    return Coloring.from_bits(Hypergraph3.complete(n), red)
 
 
 def monochromatic_instance(n: int, color: Color) -> Coloring:
     host = Hypergraph3.complete(n)
-    red = host.edges if color is Color.RED else ()
-    return Coloring(host, red)
+    return Coloring.from_bits(host, host.edge_bits if color is Color.RED else 0)
 
 
 def planted_partition_instance(n: int, sizes) -> Coloring:
@@ -38,16 +37,9 @@ def planted_partition_instance(n: int, sizes) -> Coloring:
     sizes = list(sizes)
     if any(s < 0 for s in sizes) or sum(sizes) > n:
         raise ValueError("class sizes must be nonnegative and fit in n")
-    cls = [-1] * n
+    red = 0
     start = 0
-    for ci, s in enumerate(sizes):
-        for v in range(start, start + s):
-            cls[v] = ci
+    for s in sizes:
+        red |= within_mask(((1 << s) - 1) << start)
         start += s
-    host = Hypergraph3.complete(n)
-    red = [
-        (a, b, c)
-        for a, b, c in combinations(range(n), 3)
-        if cls[a] >= 0 and cls[a] == cls[b] == cls[c]
-    ]
-    return Coloring(host, red)
+    return Coloring.from_bits(Hypergraph3.complete(n), red)

@@ -32,7 +32,6 @@ hold under those hypotheses are likewise recorded, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import ceil, comb
 
 from .core import (
@@ -43,11 +42,17 @@ from .core import (
     Triple,
     canon_triple,
     colex_index,
+    colex_inverse,
     connected_components,
     connecting_path,
+    decode_edges,
+    edge_neighbors,
+    index_mask,
     mask_bits,
+    pair_component,
     pair_key,
     triple_mask,
+    within_mask,
 )
 from .errors import (
     BranchInapplicableError,
@@ -84,7 +89,6 @@ class Params:
             "eight_delta_t": 8.0 * d * t,
             "twelve_delta_t": 12.0 * d * t,
             "three_delta_t_plus_2": 3.0 * d * t + 2.0,
-            "six_delta_t_dissolve": 6.0 * d * t,
         }
 
     def vacuous(self, t: int) -> bool:
@@ -118,60 +122,50 @@ def clean(h: Hypergraph3, gamma: float) -> tuple[Hypergraph3, CleanReport]:
     reported, not assumed: this loop is a constructive stand-in, so the
     report carries whether the bound happened to hold.
 
-    Raises CleanupExhaustedError (with the report attached) if every vertex
-    dies.
+    Returns the input host itself when nothing is deleted.  Raises
+    CleanupExhaustedError (with the report attached) if every vertex dies.
     """
-    params = Params.from_gamma(gamma)
-    delta = params.delta
-    vertices = set(h.vertices)
-    edges = set(h.edges)
-    t0 = len(vertices)
+    delta = Params.from_gamma(gamma).delta
+    n = h.n
+    k = h
     rounds = 0
     deactivated = 0
 
     while True:
         rounds += 1
-        t = len(vertices)
+        t = k.t
         if t == 0:
             break
         threshold = ceil((1.0 - delta) * t)
-        links: dict[tuple[int, int], int] = {}
-        for a, b, c in edges:
-            links[(a, b)] = links.get((a, b), 0) + 1
-            links[(a, c)] = links.get((a, c), 0) + 1
-            links[(b, c)] = links.get((b, c), 0) + 1
-        bad = {p for p, size in links.items() if size < threshold}
-        changed = False
+        links = k.pair_links()
+        bad = [p for p, m in links.items() if m.bit_count() < threshold]
         if bad:
             deactivated += len(bad)
-            edges = {
-                (a, b, c)
-                for (a, b, c) in edges
-                if (a, b) not in bad and (a, c) not in bad and (b, c) not in bad
-            }
-            changed = True
-        support = set()
-        for t3 in edges:
-            support.update(t3)
-        isolated = vertices - support
-        if isolated:
-            vertices = support
-            changed = True
-        if not changed:
+            drop = index_mask(
+                (colex_index(canon_triple(x, y, z)) for x, y in bad for z in mask_bits(links[x, y])),
+                comb(n, 3),
+            )
+            k = Hypergraph3.from_bits(n, k.edge_bits & ~drop, k.vertex_mask)
+            links = k.pair_links()
+        support = 0
+        for x, y in links:
+            support |= (1 << x) | (1 << y)
+        if support != k.vertex_mask:
+            k = Hypergraph3.from_bits(n, k.edge_bits, support)
+        elif not bad:
             break
 
-    deleted = tuple(sorted(h.vertices - vertices))
     report = CleanReport(
-        t_before=t0,
-        t_after=len(vertices),
-        deleted=deleted,
+        t_before=h.t,
+        t_after=k.t,
+        deleted=tuple(mask_bits(h.vertex_mask & ~k.vertex_mask)),
         rounds=rounds,
         deactivated_pairs=deactivated,
-        bound_held=len(vertices) >= (1.0 - delta) * t0,
+        bound_held=k.t >= (1.0 - delta) * h.t,
     )
-    if not vertices:
+    if not k.vertex_mask:
         raise CleanupExhaustedError("cleanup deleted every vertex", report=report)
-    return Hypergraph3(h.n, edges, vertices=vertices), report
+    return k, report
 
 
 def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str]]:
@@ -202,33 +196,20 @@ class ComponentInfo:
     cid: str
     color: Color
     edges: tuple[Triple, ...]
-    edge_set: frozenset[Triple]
     shadow: frozenset[tuple[int, int]]
     neighbor_masks: dict[int, int]
-    vertex_mask: int
 
     @classmethod
-    def build(cls, color: Color, edges: tuple[Triple, ...]) -> "ComponentInfo":
-        shadow = set()
-        masks: dict[int, int] = {}
-        vmask = 0
-        for a, b, c in edges:
-            shadow.add((a, b))
-            shadow.add((a, c))
-            shadow.add((b, c))
-            masks[a] = masks.get(a, 0) | (1 << b) | (1 << c)
-            masks[b] = masks.get(b, 0) | (1 << a) | (1 << c)
-            masks[c] = masks.get(c, 0) | (1 << a) | (1 << b)
-            vmask |= (1 << a) | (1 << b) | (1 << c)
-        cid = f"{color.value}:{colex_index(edges[0])}"
+    def build(cls, color: Color, sub: Hypergraph3, edges: tuple[Triple, ...]) -> "ComponentInfo":
+        """Component of ``sub`` (the color's subhypergraph) holding ``edges``."""
+        a, b, _ = edges[0]
+        pairs, masks = pair_component(sub, a, b)
         return cls(
-            cid=cid,
+            cid=f"{color.value}:{colex_index(edges[0])}",
             color=color,
             edges=edges,
-            edge_set=frozenset(edges),
-            shadow=frozenset(shadow),
+            shadow=frozenset(pairs),
             neighbor_masks=masks,
-            vertex_mask=vmask,
         )
 
 
@@ -274,7 +255,7 @@ def partition_vertices(k: Hypergraph3, col: Coloring, params: Params) -> ColorPa
     for color in (Color.RED, Color.BLUE):
         sub = col.subhypergraph(color)
         for comp_edges in connected_components(sub):
-            comps.append(ComponentInfo.build(color, comp_edges))
+            comps.append(ComponentInfo.build(color, sub, comp_edges))
 
     chosen: dict[int, str | None] = {}
     red_side: list[int] = []
@@ -348,12 +329,19 @@ def is_good_edge(k: Hypergraph3, col: Coloring, part: ColorPartition, e: Triple)
     blue = part.major(Color.BLUE)
     if red is None or blue is None:
         raise GoodEdgeUndefinedError("good edges need both major components")
-    a, b, c = e
+    return _good(red.shadow, blue.shadow, e)
+
+
+def _good(red_shadow, blue_shadow, t: Triple) -> bool:
+    """Good-edge test against the two major shadows, without the checks."""
+    a, b, c = t
     pairs = ((a, b), (a, c), (b, c))
-    in_red = [p in red.shadow for p in pairs]
-    in_blue = [p in blue.shadow for p in pairs]
-    return any(
-        in_red[i] and in_blue[j] for i in range(3) for j in range(3) if i != j
+    in_r = [p in red_shadow for p in pairs]
+    in_b = [p in blue_shadow for p in pairs]
+    return (
+        (in_r[0] and (in_b[1] or in_b[2]))
+        or (in_r[1] and (in_b[0] or in_b[2]))
+        or (in_r[2] and (in_b[0] or in_b[1]))
     )
 
 
@@ -413,15 +401,6 @@ def _middle_edge(h: Hypergraph3, e: Triple, f: Triple) -> Triple | None:
     return best
 
 
-def _edge_neighbors_masked(h: Hypergraph3, g: Triple):
-    a, b, c = g
-    gmask = triple_mask(g)
-    for x, y in ((a, b), (a, c), (b, c)):
-        zmask = h.link_mask(x, y) & ~gmask
-        for z in mask_bits(zmask):
-            yield canon_triple(x, y, z)
-
-
 def mono_connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
     """Short pseudo-path from e to f, tuned for dense monochromatic hosts.
 
@@ -436,7 +415,7 @@ def mono_connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | N
     g = _middle_edge(h, e, f)
     if g is not None:
         return PseudoPath((e, g, f))
-    for g1 in _edge_neighbors_masked(h, e):
+    for g1 in edge_neighbors(h, e):
         if g1 == f:
             continue
         g2 = _middle_edge(h, g1, f)
@@ -475,7 +454,6 @@ def local_search_matching(
     k: Hypergraph3,
     col: Coloring,
     part: ColorPartition,
-    params: Params,
 ) -> tuple[ConnectedMatching, ConnectedMatching, list[dict]]:
     """Exchange-move local search for two disjoint major-component matchings.
 
@@ -511,20 +489,12 @@ def local_search_matching(
     good_ready = red_major is not None and blue_major is not None
 
     def good(t: Triple) -> bool:
-        a, b, c = t
-        pairs = ((a, b), (a, c), (b, c))
-        in_r = tuple(p in red_major.shadow for p in pairs)
-        in_b = tuple(p in blue_major.shadow for p in pairs)
-        return (
-            (in_r[0] and (in_b[1] or in_b[2]))
-            or (in_r[1] and (in_b[0] or in_b[2]))
-            or (in_r[2] and (in_b[0] or in_b[1]))
-        )
+        return _good(red_major.shadow, blue_major.shadow, t)
 
     def matched_home(t: Triple) -> Color:
         color = col.color_of(t)
         info = majors[color]
-        if info is None or t not in info.edge_set:
+        if info is None or (t[0], t[1]) not in info.shadow:
             raise RcoverError(f"exchange produced {t} outside its major component")
         return color
 
@@ -538,18 +508,8 @@ def local_search_matching(
         return None
 
     def good_edges_within(umask: int) -> list[Triple]:
-        verts = list(mask_bits(umask))
-        out = []
-        if len(verts) <= 24:
-            for t in combinations(verts, 3):
-                if k.has_edge(t) and good(t):
-                    out.append(t)
-        else:
-            for t in k.edges:
-                if triple_mask(t) & ~umask == 0 and good(t):
-                    out.append(t)
-        out.sort(key=colex_index)
-        return out
+        """Good edges of k inside umask, in colex order."""
+        return [t for t in decode_edges(k.edge_bits & within_mask(umask)) if good(t)]
 
     def try_one_for_two():
         if not good_ready:
@@ -705,7 +665,6 @@ def residual_component(
     part: ColorPartition,
     red_m: ConnectedMatching,
     blue_m: ConnectedMatching,
-    params: Params,
     minor: Color = Color.BLUE,
 ) -> tuple[Hypergraph3, tuple[int, ...], dict]:
     """Minor-colored component inside the major color's leftover core.
@@ -730,15 +689,13 @@ def residual_component(
     residual = [v for v in part.core(major) if v not in covered]
     residual_set = set(residual)
 
-    anchor = None
-    for e in col.subhypergraph(minor).edges:  # colex order
-        if set(e) <= residual_set:
-            anchor = e
-            break
-    if anchor is None:
+    minor_sub = col.subhypergraph(minor)
+    inside = minor_sub.induced(residual).edge_bits
+    if not inside:
         raise BranchInapplicableError(
             f"no {minor.value} edge inside the residual {major.value} core"
         )
+    anchor = colex_inverse((inside & -inside).bit_length() - 1)  # smallest colex
 
     x = anchor[0]
     filtered = [
@@ -749,7 +706,7 @@ def residual_component(
     if not set(anchor) <= set(filtered):
         raise BranchInapplicableError("anchor edge destroyed by the shadow filter")
 
-    induced = col.subhypergraph(minor).induced(filtered)
+    induced = minor_sub.induced(filtered)
     comp_edges = None
     for comp in connected_components(induced):
         if anchor in comp:
@@ -990,7 +947,6 @@ def _run_branch(
     part: ColorPartition,
     red_m: ConnectedMatching,
     blue_m: ConnectedMatching,
-    params: Params,
     minor: Color,
 ) -> tuple[ConnectedMatching, ConnectedMatching, list[dict]]:
     """Residual branch with ``minor`` = the color being dissolved/rebuilt."""
@@ -998,7 +954,7 @@ def _run_branch(
     major_m = red_m if major is Color.RED else blue_m
     minor_m = blue_m if major is Color.RED else red_m
 
-    host, trimmed, info = residual_component(k, col, part, red_m, blue_m, params, minor)
+    host, trimmed, info = residual_component(k, col, part, red_m, blue_m, minor)
     pm = perfect_matching_dense(host)
     rematched, leftovers = dissolve_matching(k, col, part, minor_m.edges, minor)
 
@@ -1010,7 +966,8 @@ def _run_branch(
     )
     minor_comp_id = None
     if pm.matching:
-        minor_comp_id = f"{minor.value}:{colex_index(host.edges[0])}"
+        low = host.edge_bits & -host.edge_bits
+        minor_comp_id = f"{minor.value}:{low.bit_length() - 1}"
     minor_final = build_matching(col, minor, pm.matching, minor_comp_id)
 
     events = [
@@ -1059,11 +1016,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
             },
         }
     )
-    if k.t == h.t and k.edge_count == h.edge_count:
-        k = h  # cleanup was a no-op; keep the caller's cached structures
-        col_k = col
-    else:
-        col_k = col.restrict(k)
+    col_k = col if k is h else col.restrict(k)
     part = partition_vertices(k, col_k, params)
     trace.append(
         {
@@ -1080,7 +1033,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
         }
     )
 
-    red_m, blue_m, moves = local_search_matching(k, col_k, part, params)
+    red_m, blue_m, moves = local_search_matching(k, col_k, part)
     trace.extend(moves)
     claims = structural_claims(part, red_m, blue_m, params, k.t)
     trace.append({"stage": "claims", "detail": claims})
@@ -1113,7 +1066,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
     for minor in (first_minor, first_minor.other()):
         try:
             bred, bblue, events = _run_branch(
-                k, col_k, part, red_m, blue_m, params, minor
+                k, col_k, part, red_m, blue_m, minor
             )
         except (BranchInapplicableError, RcoverError) as exc:
             trace.append(

@@ -105,7 +105,7 @@ def _all_cycle_supports(col: Coloring, color: Color) -> tuple[dict[int, tuple[in
     cycles on a support share its size, so one witness per support suffices.
     Also returns the number of orders examined.
     """
-    edge_set = col.edges_of(color)
+    sub = col.subhypergraph(color)
     vertices = sorted(col.host.vertices)
     out: dict[int, tuple[int, ...]] = {}
     examined = 0
@@ -123,7 +123,7 @@ def _all_cycle_supports(col: Coloring, color: Color) -> tuple[dict[int, tuple[in
                 ok = True
                 for i in range(s):
                     t = canon_triple(order[i], order[(i + 1) % s], order[(i + 2) % s])
-                    if t not in edge_set:
+                    if not sub.has_edge(t):
                         ok = False
                         break
                 if ok:

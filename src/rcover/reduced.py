@@ -184,43 +184,3 @@ def build_reduced(
         colors[ijk] = Color.RED if d >= Fraction(1, 2) else Color.BLUE
     return ReducedHypergraph(t=t, edges=tuple(edges), colors=colors, densities=dens)
 
-
-# -- toy regularity checker (test support) -----------------------------------
-
-EPS_REGULAR_CAP = 12
-
-
-def eps_regular_toy(pairs, xs, ys, d: Fraction, eps: Fraction) -> bool:
-    """Direct-definition (d, eps)-regularity check for toy bipartite graphs.
-
-    Examines every X' x Y' with |X'| > eps|X| and |Y'| > eps|Y| and tests
-    |d(X', Y') - d| < eps exactly.  Capped at 12 vertices per side.
-    """
-    xs = sorted(xs)
-    ys = sorted(ys)
-    if len(xs) > EPS_REGULAR_CAP or len(ys) > EPS_REGULAR_CAP:
-        raise ValueError(f"toy checker capped at {EPS_REGULAR_CAP} per side")
-    ypos = {y: i for i, y in enumerate(ys)}
-    row = [0] * len(xs)
-    for i, x in enumerate(xs):
-        for a, b in pairs:
-            if a == x and b in ypos:
-                row[i] |= 1 << ypos[b]
-            elif b == x and a in ypos:
-                row[i] |= 1 << ypos[a]
-    min_x = eps * len(xs)
-    min_y = eps * len(ys)
-    for xm in range(1, 1 << len(xs)):
-        kx = xm.bit_count()
-        if kx <= min_x:
-            continue
-        rows = [row[i] for i in mask_bits(xm)]
-        for ym in range(1, 1 << len(ys)):
-            ky = ym.bit_count()
-            if ky <= min_y:
-                continue
-            edge_count = sum((r & ym).bit_count() for r in rows)
-            dd = Fraction(edge_count, kx * ky)
-            if abs(dd - d) >= eps:
-                return False
-    return True

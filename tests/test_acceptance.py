@@ -197,7 +197,8 @@ def _random_triad_with_coloring(seed: int):
         for x in classes[0] for y in classes[1] for z in classes[2]
     ]
     red = [t for i, t in enumerate(spanning) if crng.unit(i) < 0.5]
-    blue = [t for t in spanning if t not in set(red)]
+    red_set = set(red)
+    blue = [t for t in spanning if t not in red_set]
     return triad, Hypergraph3(n, red), Hypergraph3(n, blue)
 
 

@@ -117,12 +117,12 @@ def test_dense_and_sparse_storage_agree(rng):
     sparse_edges = all_triples[: int(0.1 * len(all_triples))]
     dense = Hypergraph3(n, dense_edges)
     sparse = Hypergraph3(n, sparse_edges)
-    assert dense.dense_storage and not sparse.dense_storage
     for h, edges in ((dense, dense_edges), (sparse, sparse_edges)):
         edge_set = set(edges)
         for t in all_triples:
             assert h.has_edge(t) == (t in edge_set)
         assert list(h.edges) == sorted(edges, key=colex_index)
+        assert not h.has_edge((2, 1, 0))  # a non-canonical triple is never an edge
 
 
 def test_vertex_subset_validation():

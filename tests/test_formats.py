@@ -76,6 +76,15 @@ def test_h3bits_header_errors():
         h3bits_loads(b"H3BITS 4\n")  # payload too short
 
 
+def test_h3bits_rejects_nonzero_padding():
+    # n=5: C(5,3) = 10 colors in 2 bytes; bit 15 is padding
+    data = bytearray(h3bits_dumps(uniform_instance(5, 0.5, 1)))
+    h3bits_loads(bytes(data))
+    data[-1] |= 0x80
+    with pytest.raises(FormatError):
+        h3bits_loads(bytes(data))
+
+
 def test_save_load_sniffing(tmp_path):
     col = uniform_instance(6, 0.5, 4)
     bits = tmp_path / "a.h3bits"

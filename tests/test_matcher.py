@@ -54,7 +54,7 @@ def test_params_thresholds():
     assert th["eight_delta_t"] == pytest.approx(80.0)
     assert th["twelve_delta_t"] == pytest.approx(120.0)
     assert th["three_delta_t_plus_2"] == pytest.approx(32.0)
-    assert th["six_delta_t_dissolve"] == pytest.approx(60.0)
+    assert "six_delta_t_dissolve" not in th  # it always equalled six_delta_t
     assert all(v >= 0 for v in th.values())
     assert p.vacuous(10)
     tiny = Params.from_gamma(1e-30)
@@ -75,6 +75,7 @@ def test_clean_complete_k9_unchanged():
     k, report = clean(h, GAMMA_DESK)
     assert k.t == 9 and k.edge_count == h.edge_count
     assert report.deleted == () and report.bound_held
+    assert k is h  # nothing deleted: the input host comes back
 
 
 def test_clean_deletes_isolated_vertex():
@@ -233,9 +234,7 @@ def test_good_edge_requires_both_majors():
 def test_local_search_all_red_k6_perfect():
     col = monochromatic_instance(6, Color.RED)
     part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
-    red_m, blue_m, _ = local_search_matching(
-        col.host, col, part, Params.from_gamma(GAMMA_DESK)
-    )
+    red_m, blue_m, _ = local_search_matching(col.host, col, part)
     assert red_m.edges == ((0, 1, 2), (3, 4, 5))
     assert blue_m.edges == ()
 
@@ -243,9 +242,7 @@ def test_local_search_all_red_k6_perfect():
 def test_local_search_all_red_k7_leaves_one():
     col = monochromatic_instance(7, Color.RED)
     part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
-    red_m, blue_m, _ = local_search_matching(
-        col.host, col, part, Params.from_gamma(GAMMA_DESK)
-    )
+    red_m, blue_m, _ = local_search_matching(col.host, col, part)
     assert red_m.covered() == 6 and blue_m.covered() == 0
 
 
@@ -266,7 +263,7 @@ def test_local_search_two_for_three_move_fires():
     col = Coloring(h, red_edges)
     params = Params.from_gamma(GAMMA_DESK)
     part = partition_vertices(h, col, params)
-    red_m, blue_m, moves = local_search_matching(h, col, part, params)
+    red_m, blue_m, moves = local_search_matching(h, col, part)
     kinds = [m["detail"]["kind"] for m in moves]
     assert kinds == ["greedy-add", "greedy-add", "two-for-three"]
     assert red_m.edges == ((0, 3, 6),)
@@ -344,9 +341,9 @@ def test_residual_component_all_blue_nine():
     host, col = _bridge_instance(15, 2)
     params = Params.from_gamma(GAMMA_DESK)
     part = partition_vertices(host, col, params)
-    red_m, blue_m, _ = local_search_matching(host, col, part, params)
+    red_m, blue_m, _ = local_search_matching(host, col, part)
     assert red_m.vertex_set() == {0, 1, 2, 3, 13, 14}
-    b, trimmed, info = residual_component(host, col, part, red_m, blue_m, params)
+    b, trimmed, info = residual_component(host, col, part, red_m, blue_m)
     assert b.vertices == frozenset(range(4, 13))
     assert trimmed == ()
     assert info["anchor"] == [4, 5, 6]
@@ -356,8 +353,8 @@ def test_residual_component_trims_largest_id():
     host, col = _bridge_instance(16, 2)  # residual core {4..13}: 10 vertices
     params = Params.from_gamma(GAMMA_DESK)
     part = partition_vertices(host, col, params)
-    red_m, blue_m, _ = local_search_matching(host, col, part, params)
-    b, trimmed, _ = residual_component(host, col, part, red_m, blue_m, params)
+    red_m, blue_m, _ = local_search_matching(host, col, part)
+    b, trimmed, _ = residual_component(host, col, part, red_m, blue_m)
     assert trimmed == (13,)
     assert b.vertices == frozenset(range(4, 13))
     assert b.t % 3 == 0
@@ -373,7 +370,7 @@ def test_residual_component_picks_anchor_component():
     part = partition_vertices(host, col, params)
     red_m = build_matching(col, Color.RED, [(0, 1, 2), (3, 7, 11)], part.major_red)
     blue_m = build_matching(col, Color.BLUE, [], None)
-    b, trimmed, info = residual_component(host, col, part, red_m, blue_m, params)
+    b, trimmed, info = residual_component(host, col, part, red_m, blue_m)
     assert info["anchor"] == [4, 5, 6]
     assert b.vertices == frozenset({4, 5, 6})
     assert trimmed == ()
@@ -386,7 +383,7 @@ def test_residual_component_no_blue_edge_errors():
     red_m = build_matching(col, Color.RED, [(0, 1, 2)], part.major_red)
     blue_m = build_matching(col, Color.BLUE, [], None)
     with pytest.raises(BranchInapplicableError):
-        residual_component(col.host, col, part, red_m, blue_m, params)
+        residual_component(col.host, col, part, red_m, blue_m)
 
 
 # -- perfect matching -------------------------------------------------------------------
