@@ -3,8 +3,9 @@
 Exit codes: 0 valid result, 2 absent / search timeout, 1 any error.
 Outputs are canonical JSON (or CSV for sweeps) and contain no timing
 fields; sweep stage timings go to a ``.timings.csv`` sidecar so reruns of
-the same command and seed are byte-identical.  RCOVER_THREADS caps the
-sweep worker pool (default 1, serial).
+the same command and seed are byte-identical.  RCOVER_THREADS, a positive
+integer (default 1, serial), asks for that many sweep worker processes; the
+pool is clamped to the CPU count and to the number of sweep tasks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .cycles import (
     search_cycle_pair,
     verify_cycle_pair,
 )
-from .errors import RcoverError
+from .errors import FormatError, RcoverError
 from .formats import (
     canonical_json,
     cover_from_json,
@@ -181,6 +182,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = json.loads(Path(args.input).read_text())
+    if not isinstance(doc, dict):
+        raise FormatError("result file must hold a JSON object")
     h, col = _load_colored(args.instance)
     kind = doc.get("type")
     if kind == "cover":
@@ -190,6 +193,9 @@ def cmd_verify(args) -> int:
         if doc.get("status") != "found":
             print("nothing to verify: no pair in result", file=sys.stderr)
             return EXIT_ABSENT
+        for key in ("red", "blue", "uncovered"):
+            if not isinstance(doc.get(key), list) or any(type(v) is not int for v in doc[key]):
+                raise FormatError(f"cycle-pair result needs an integer array {key!r}")
         pair = CyclePair(
             red=TightCycle(tuple(doc["red"])),
             blue=TightCycle(tuple(doc["blue"])),
@@ -267,7 +273,14 @@ def cmd_sweep(args) -> int:
         for n in ns
         for seed in seeds
     ]
-    workers = int(os.environ.get("RCOVER_THREADS", "1"))
+    raw = os.environ.get("RCOVER_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RCOVER_THREADS must be a positive integer, got {raw!r}")
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_sweep_one, tasks))

@@ -9,7 +9,9 @@ non-consecutive edges are disjoint.
 ``search_cycle_pair`` is a desk-scale exact search for two vertex-disjoint
 monochromatic tight cycles of distinct colors with parity control.  It
 enumerates candidate covers in decreasing total size, so a found pair
-leaves the minimum possible number of vertices uncovered.
+leaves the minimum possible number of vertices uncovered.  Supports are
+memoised per call: each (color, support) is tested for a tight Hamilton
+cycle at most once per search, against a flat per-call link table.
 """
 
 from __future__ import annotations
@@ -193,19 +195,19 @@ class _Deadline:
         return self.hit
 
 
-def _tight_hamilton(support: tuple[int, ...], links: dict, deadline: _Deadline) -> tuple[int, ...] | None:
+def _tight_hamilton(
+    support: tuple[int, ...], links: list[int], n: int, deadline: _Deadline
+) -> tuple[int, ...] | None:
     """First tight cycle using every vertex of ``support``, or None.
 
-    Depth-first extension of a tight path anchored at the smallest vertex,
-    candidates in ascending id order taken from the link mask of the last
-    two vertices; reflections are skipped by requiring the second vertex to
-    be smaller than the last.
+    ``links[x * n + y]`` is the link mask of the pair {x, y}.  Depth-first
+    extension of a tight path anchored at the smallest vertex, candidates in
+    ascending id order taken from the link mask of the last two vertices;
+    reflections are skipped by requiring the second vertex to be smaller
+    than the last.
     """
     s = len(support)
     order = [support[0]] + [0] * (s - 1)
-
-    def link(x: int, y: int) -> int:
-        return links.get((x, y) if x < y else (y, x), 0)
 
     def extend(depth: int, free: int) -> bool:
         if deadline.expired():
@@ -213,10 +215,10 @@ def _tight_hamilton(support: tuple[int, ...], links: dict, deadline: _Deadline) 
         if depth == s:
             return (
                 order[1] < order[s - 1]
-                and link(order[s - 2], order[s - 1]) >> order[0] & 1 == 1
-                and link(order[s - 1], order[0]) >> order[1] & 1 == 1
+                and links[order[s - 2] * n + order[s - 1]] >> order[0] & 1 == 1
+                and links[order[s - 1] * n + order[0]] >> order[1] & 1 == 1
             )
-        cand = free if depth < 2 else free & link(order[depth - 2], order[depth - 1])
+        cand = free if depth < 2 else free & links[order[depth - 2] * n + order[depth - 1]]
         for v in mask_bits(cand):
             order[depth] = v
             if extend(depth + 1, free & ~(1 << v)):
@@ -231,10 +233,12 @@ def _tight_hamilton(support: tuple[int, ...], links: dict, deadline: _Deadline) 
     return None
 
 
-def _cycle_on(support, col: Coloring, color: Color, deadline: _Deadline) -> TightCycle | None:
-    links = col.subhypergraph(color).pair_links()
-    found = _tight_hamilton(tuple(support), links, deadline)
-    return None if found is None else TightCycle(found)
+def _link_table(col: Coloring, color: Color, n: int) -> list[int]:
+    """Link masks of one color as a flat list indexed by ``x * n + y``."""
+    table = [0] * (n * n)
+    for (x, y), mask in col.subhypergraph(color).pair_links().items():
+        table[x * n + y] = table[y * n + x] = mask
+    return table
 
 
 def search_cycle_pair(
@@ -259,8 +263,22 @@ def search_cycle_pair(
         raise InstanceTooLargeError(f"cycle search capped at {SEARCH_HARD_CAP} vertices")
     if col.host.edge_bits != h.edge_bits:
         raise ValueError("coloring does not belong to the searched hypergraph")
+    if max_uncovered < 0:
+        raise ValueError(f"max_uncovered must be non-negative, got {max_uncovered}")
     vertices = sorted(h.vertices)
     deadline = _Deadline(budget_ms)
+    # per color, local to this call: the flat link table, and a memo from
+    # support (an ascending tuple, as combinations yields it) to its
+    # TightCycle or None
+    links = {c: _link_table(col, c, h.n) for c in Color}
+    memo: dict[Color, dict[tuple[int, ...], TightCycle | None]] = {c: {} for c in Color}
+
+    def cycle_on(support: tuple[int, ...], color: Color) -> TightCycle | None:
+        seen = memo[color]
+        if support not in seen:
+            found = _tight_hamilton(support, links[color], h.n, deadline)
+            seen[support] = None if found is None else TightCycle(found)
+        return seen[support]
 
     def sizes(par):
         out = [s for s in range(MIN_TIGHT, n + 1) if _parity_ok(s, par)]
@@ -282,19 +300,20 @@ def search_cycle_pair(
                     return SearchOutcome("timeout")
                 red_cycle = EMPTY_TIGHT
                 if s_red:
-                    red_cycle = _cycle_on(red_support, col, Color.RED, deadline)
+                    red_cycle = cycle_on(red_support, Color.RED)
                     if red_cycle is None:
                         continue
-                rest = [v for v in vertices if v not in set(red_support)]
+                red_set = set(red_support)
+                rest = [v for v in vertices if v not in red_set]
                 for blue_support in combinations(rest, s_blue) if s_blue else ((),):
                     if deadline.hit:
                         return SearchOutcome("timeout")
                     blue_cycle = EMPTY_TIGHT
                     if s_blue:
-                        blue_cycle = _cycle_on(blue_support, col, Color.BLUE, deadline)
+                        blue_cycle = cycle_on(blue_support, Color.BLUE)
                         if blue_cycle is None:
                             continue
-                    taken = set(red_support) | set(blue_support)
+                    taken = red_set.union(blue_support)
                     uncovered = tuple(v for v in vertices if v not in taken)
                     return SearchOutcome(
                         "found", CyclePair(red_cycle, blue_cycle, uncovered)

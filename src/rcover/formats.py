@@ -34,6 +34,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _triples(rows) -> list[tuple[int, int, int]]:
+    """Triples from a JSON array of three-integer arrays; FormatError otherwise."""
+    if not isinstance(rows, list):
+        raise FormatError("expected an array of edges")
+    for r in rows:
+        if not isinstance(r, list) or len(r) != 3 or any(type(v) is not int for v in r):
+            raise FormatError(f"edge {r!r} is not an array of three integers")
+    return [tuple(r) for r in rows]
+
+
 # -- h3json ------------------------------------------------------------------
 
 
@@ -54,15 +64,17 @@ def h3json_loads(text: str) -> tuple[Hypergraph3, Coloring | None]:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise FormatError("h3json needs 'n' and 'edges' fields")
     n = doc["n"]
-    edges = [tuple(e) for e in doc["edges"]]
+    if type(n) is not int:
+        raise FormatError(f"'n' must be an integer, got {n!r}")
+    edges = _triples(doc["edges"])
     for e in edges:
-        if len(e) != 3 or not (e[0] < e[1] < e[2]):
+        if not (e[0] < e[1] < e[2]):
             raise FormatError(f"edge {e} is not an ascending triple")
     h = Hypergraph3(n, edges)
     colors = doc.get("colors")
     if colors is None:
         return h, None
-    if len(colors) != len(edges):
+    if not isinstance(colors, list) or len(colors) != len(edges):
         raise FormatError("colors array must align with edges")
     order = sorted(range(len(edges)), key=lambda i: colex_index(edges[i]))
     col = Coloring.from_sequence(h, [colors[i] for i in order])
@@ -145,11 +157,9 @@ def matching_from_json(doc) -> "ConnectedMatching":
 
     return ConnectedMatching(
         color=Color(doc["color"]),
-        edges=tuple(tuple(e) for e in doc["edges"]),
+        edges=tuple(_triples(doc["edges"])),
         component_id=doc["component"],
-        certificates=tuple(
-            PseudoPath(tuple(tuple(e) for e in p)) for p in doc["certificates"]
-        ),
+        certificates=tuple(PseudoPath(tuple(_triples(p))) for p in doc["certificates"]),
     )
 
 
@@ -167,15 +177,18 @@ def cover_to_json(r) -> dict:
 def cover_from_json(doc) -> "CoverResult":
     from .matcher import CoverResult
 
-    if doc.get("type") != "cover":
+    if not isinstance(doc, dict) or doc.get("type") != "cover":
         raise FormatError("not a cover result document")
-    return CoverResult(
-        red=matching_from_json(doc["red"]),
-        blue=matching_from_json(doc["blue"]),
-        covered=doc["covered"],
-        uncovered=tuple(doc["uncovered"]),
-        trace=tuple(doc["trace"]),
-    )
+    try:
+        return CoverResult(
+            red=matching_from_json(doc["red"]),
+            blue=matching_from_json(doc["blue"]),
+            covered=doc["covered"],
+            uncovered=tuple(doc["uncovered"]),
+            trace=tuple(doc["trace"]),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"malformed cover result: {type(exc).__name__} {exc}") from exc
 
 
 def cycle_pair_to_json(outcome) -> dict:

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -138,9 +139,10 @@ def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch):
     base = ["sweep", "--model", "uniform", "--n", "6", "--seeds", "0..5", "--out"]
     monkeypatch.setenv("RCOVER_THREADS", "1")
     assert main(base + [str(serial)]) == 0
-    monkeypatch.setenv("RCOVER_THREADS", "3")
-    assert main(base + [str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
+    for value in ("2", "3"):
+        monkeypatch.setenv("RCOVER_THREADS", value)
+        assert main(base + [str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_sweep_600_rows(tmp_path):
@@ -173,3 +175,52 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "rcover" in proc.stdout
+
+
+def _cli(*args, env_extra=None):
+    """Run the CLI in a child process; returns (exit code, stderr)."""
+    env = dict(os.environ, **(env_extra or {}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcover.cli", *args], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stderr
+
+
+def _assert_one_line_error(rc, err):
+    assert rc == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _verify_doc(tmp_path, doc):
+    inst = tmp_path / "i.h3bits"
+    main(["gen", "--model", "uniform", "--n", "7", "--seed", "2", "--out", str(inst)])
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps(doc))
+    return _cli("verify", "--input", str(res), "--instance", str(inst))
+
+
+def test_verify_cover_missing_fields_is_one_line(tmp_path):
+    _assert_one_line_error(*_verify_doc(tmp_path, {"type": "cover"}))
+
+
+def test_verify_json_list_is_one_line(tmp_path):
+    _assert_one_line_error(*_verify_doc(tmp_path, [1, 2, 3]))
+
+
+def test_verify_cycle_pair_missing_blue_is_one_line(tmp_path):
+    doc = {"type": "cycle-pair", "status": "found", "red": [0, 1, 2, 3]}
+    _assert_one_line_error(*_verify_doc(tmp_path, doc))
+
+
+def test_cycles_negative_max_uncovered_is_one_line(tmp_path):
+    inst = tmp_path / "i.h3bits"
+    main(["gen", "--model", "mono", "--color", "R", "--n", "6", "--out", str(inst)])
+    _assert_one_line_error(*_cli("cycles", "--input", str(inst), "--max-uncovered", "-3"))
+
+
+def test_sweep_threads_must_be_a_positive_integer(tmp_path):
+    base = ("sweep", "--model", "uniform", "--n", "6", "--seeds", "0..1", "--out", str(tmp_path / "s.csv"))
+    for value in ("0", "x"):
+        _assert_one_line_error(*_cli(*base, env_extra={"RCOVER_THREADS": value}))
+

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rcover import cycles
 from rcover.core import Color, Coloring, Hypergraph3
 from rcover.cycles import (
     ANY,
@@ -106,6 +107,49 @@ def test_search_agrees_with_oracle_n7(rng):
                         assert verify_tight_cycle(s.pair.red, col.host, col, Color.RED)
                     if s.pair.blue.length:
                         assert verify_tight_cycle(s.pair.blue, col.host, col, Color.BLUE)
+
+
+def test_search_agrees_with_oracle_n8_near_monochromatic():
+    # (any, even) and (even, even) are the benchmark's exhausted settings;
+    # (any, any) and (odd, any) add searches that find a pair
+    statuses = set()
+    for p in (0.9, 0.95):
+        for seed in range(6):
+            col = uniform_instance(8, p, seed)
+            for pr, pb in ((ANY, EVEN), (EVEN, EVEN), (ANY, ANY), (ODD, ANY)):
+                o = oracle_cycle_pair(col.host, col, pr, pb)
+                for mu in (0, 2):
+                    s = search_cycle_pair(col.host, col, mu, pr, pb)
+                    present = o.optimum is not None and o.optimum <= mu
+                    assert s.status == ("found" if present else "exhausted")
+                    statuses.add(s.status)
+                    if s.found:
+                        assert len(s.pair.uncovered) == o.optimum
+                        ok, diags = verify_cycle_pair(s.pair, col.host, col)
+                        assert ok, diags
+    assert statuses == {"found", "exhausted"}
+
+
+def test_search_tests_each_support_once(monkeypatch):
+    tested = []
+    inner = cycles._tight_hamilton
+
+    def counting(support, links, *rest):
+        tested.append((id(links), tuple(support)))
+        return inner(support, links, *rest)
+
+    monkeypatch.setattr(cycles, "_tight_hamilton", counting)
+    col = uniform_instance(10, 0.95, 2)
+    out = search_cycle_pair(col.host, col, 2, ANY, EVEN)
+    assert out.status == "exhausted"
+    assert len(tested) > 100
+    assert len(set(tested)) == len(tested)
+
+
+def test_search_rejects_negative_max_uncovered():
+    col = monochromatic_instance(6, Color.RED)
+    with pytest.raises(ValueError):
+        search_cycle_pair(col.host, col, -3)
 
 
 def test_search_parity_satisfaction(rng):

@@ -45,6 +45,31 @@ def test_h3json_validation():
         h3json_loads('{"n": 4, "edges": [[0,1,2]], "colors": []}')
 
 
+def test_h3json_type_checks():
+    for text in (
+        '{"format":"h3json","n":"5","edges":[]}',
+        '{"n": 5.0, "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": 5, "edges": [[0, 1, "2"]]}',
+        '{"n": 5, "edges": [[0, 1.0, 2]]}',
+        '{"n": 5, "edges": [7]}',
+        '{"n": 5, "edges": 7}',
+        '{"n": 5, "edges": [[0, 1, 2]], "colors": 1}',
+    ):
+        with pytest.raises(FormatError):
+            h3json_loads(text)
+
+
+def test_cover_from_json_rejects_malformed_documents():
+    col = uniform_instance(8, 0.5, 21)
+    good = cover_to_json(cover(col.host, col, 1e-3))
+    cover_from_json(good)
+    bad_edges = dict(good, red=dict(good["red"], edges=[["a", "b", "c"]]))
+    for doc in ({"type": "cover"}, [], dict(good, red=1), dict(good, blue=None), bad_edges):
+        with pytest.raises(FormatError):
+            cover_from_json(doc)
+
+
 def test_h3bits_exact_bytes():
     # n=4: triples in colex order are {0,1,2},{0,1,3},{0,2,3},{1,2,3};
     # red at colex 0 and 2 packs (LSB first) to the single byte 0b0101 = 5
