@@ -6,13 +6,16 @@ Every edge set -- a host's edges, a coloring's red class -- is one integer
 whose bit i is set iff the triple of colex index i is present; the same
 integer is the payload of the ``h3bits`` file format.  Triples are decoded
 from the set bits on demand and come out in colex order.  The link of a
-pair is a bitmask over vertex ids, built lazily from the edges.
+pair is a bitmask over vertex ids, read lazily off the edge bits: a host
+complete on its vertex set needs no edge pass, and a coloring's blue links
+are the host's links XOR the red ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from math import comb
 
 from .errors import InvalidPairError, NotAnEdgeError
@@ -118,13 +121,14 @@ def within_mask(vertex_mask: int) -> int:
     return out
 
 
-def decode_edges(bits: int) -> tuple[Triple, ...]:
-    """Triples of the set bits of a colex mask, in colex order.
+def colex_slices(bits: int):
+    """Yield (b, c, part) for every nonzero slice of a colex mask.
 
     The mask is consumed in blocks: C(c,2) bits for the triples with largest
-    vertex c, within which b bits for each second-largest vertex b.
+    vertex c, within which b bits for each second-largest vertex b.  Bit a of
+    ``part`` is set iff the triple (a, b, c) is present, so ``part`` is the
+    part below b of the link of the pair bc.
     """
-    out = []
     c = 2
     while bits:
         width = comb(c, 2)
@@ -135,9 +139,16 @@ def decode_edges(bits: int) -> tuple[Triple, ...]:
             part = block & ((1 << b) - 1)
             block >>= b
             if part:
-                out += [(a, b, c) for a, bit in enumerate(reversed(f"{part:b}")) if bit == "1"]
+                yield b, c, part
             b += 1
         c += 1
+
+
+def decode_edges(bits: int) -> tuple[Triple, ...]:
+    """Triples of the set bits of a colex mask, in colex order."""
+    out = []
+    for b, c, part in colex_slices(bits):
+        out += [(a, b, c) for a, bit in enumerate(reversed(f"{part:b}")) if bit == "1"]
     return tuple(out)
 
 
@@ -219,20 +230,30 @@ class Hypergraph3:
         return 0 <= a < b < c and bool(self.edge_bits >> colex_index(t) & 1)
 
     def pair_links(self) -> dict[Pair, int]:
-        """Link bitmask of every shadow pair (x, y), x < y; built once."""
+        """Link bitmask of every shadow pair (x, y), x < y; built once.
+
+        On a host complete on its vertex set, link(x, y) is the vertex mask
+        minus x and y.  Otherwise each slice of ``colex_slices`` is ORed whole
+        into the link of bc; only the pairs ab and ac take one bit per edge.
+        """
         links = self._pair_links
         if links is None:
-            links = {}
-            for a, b, c in self.edges:
-                ab = (a, b)
-                prev = links.get(ab, 0)
-                links[ab] = prev | (1 << c)
-                ac = (a, c)
-                prev = links.get(ac, 0)
-                links[ac] = prev | (1 << b)
-                bc = (b, c)
-                prev = links.get(bc, 0)
-                links[bc] = prev | (1 << a)
+            n, vmask, bits = self.n, self.vertex_mask, self.edge_bits
+            if bits and bits == within_mask(vmask):
+                pairs = combinations(mask_bits(vmask), 2)
+                links = {(x, y): vmask & ~((1 << x) | (1 << y)) for x, y in pairs}
+            else:
+                flat = [0] * (n * n)  # flat[x * n + y]: link of the pair xy, x < y
+                for b, c, part in colex_slices(bits):
+                    flat[b * n + c] |= part
+                    bbit, cbit = 1 << b, 1 << c
+                    while part:
+                        low = part & -part
+                        part ^= low
+                        a = low.bit_length() - 1
+                        flat[a * n + b] |= cbit
+                        flat[a * n + c] |= bbit
+                links = {divmod(i, n): m for i, m in enumerate(flat) if m}
             self._pair_links = links
         return links
 
@@ -293,6 +314,28 @@ def pair_component(h: Hypergraph3, x: int, y: int) -> tuple[list[Pair], dict[int
     return pairs, partners
 
 
+def shadow_components(h: Hypergraph3) -> list[tuple[int, list[Pair], dict[int, int]]]:
+    """Pseudo-path components as (edge bits, shadow pairs, partner masks).
+
+    One ``pair_component`` search per component, sorted by first edge.  With
+    two or more, each colex slice goes whole to the component of its pair bc.
+    """
+    label: dict[Pair, int] = {}
+    found = []
+    for p in h.pair_links():
+        if p not in label:
+            pairs, partners = pair_component(h, *p)
+            for q in pairs:
+                label[q] = len(found)
+            found.append((pairs, partners))
+    if len(found) < 2:
+        return [(h.edge_bits, *f) for f in found]
+    bits = [0] * len(found)
+    for b, c, part in colex_slices(h.edge_bits):
+        bits[label[b, c]] |= part << (comb(c, 3) + comb(b, 2))
+    return sorted(((m, *f) for m, f in zip(bits, found)), key=lambda comp: comp[0] & -comp[0])
+
+
 def connected_components(h: Hypergraph3) -> tuple[tuple[Triple, ...], ...]:
     """Partition of the edge set into pseudo-path components.
 
@@ -301,20 +344,7 @@ def connected_components(h: Hypergraph3) -> tuple[tuple[Triple, ...], ...]:
     shadow pairs lie in one ``pair_component``.  Components are returned
     with edges in colex order, sorted by their first edge.
     """
-    label: dict[Pair, int] = {}
-    count = 0
-    for p in h.pair_links():
-        if p not in label:
-            for q in pair_component(h, *p)[0]:
-                label[q] = count
-            count += 1
-    edges = h.edges
-    if count < 2:
-        return (edges,) if count else ()
-    groups: dict[int, list[Triple]] = {}
-    for t in edges:  # colex order, so groups come out sorted by first edge
-        groups.setdefault(label[t[0], t[1]], []).append(t)
-    return tuple(tuple(g) for g in groups.values())
+    return tuple(decode_edges(bits) for bits, _, _ in shadow_components(h))
 
 
 @dataclass(frozen=True)
@@ -357,9 +387,10 @@ def edge_neighbors(h: Hypergraph3, g: Triple) -> list[Triple]:
 def connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
     """Shortest pseudo-path from e to f, or None if they are disconnected.
 
-    Breadth-first search over tight adjacency; neighbors are scanned in
-    colex order so tie-breaking is deterministic.  ``e == f`` yields the
-    length-1 path consisting of the edge itself.
+    Breadth-first search over tight adjacency, neighbors scanned in colex
+    order, each shadow pair expanded once.  It stops at the first edge w found
+    at distance 2 from f; the path ends w, the smallest-colex edge adjacent to
+    w and f, then f.  ``e == f`` yields the length-1 path (e,).
     """
     if not h.has_edge(e):
         raise NotAnEdgeError(f"{e} is not an edge of the host")
@@ -367,24 +398,34 @@ def connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
         raise NotAnEdgeError(f"{f} is not an edge of the host")
     if e == f:
         return PseudoPath((e,))
+    links = h.pair_links()
+
+    def through(pairs) -> set[Triple]:  # the edges through any of the pairs
+        return {canon_triple(x, y, z) for x, y in pairs for z in mask_bits(links[x, y])}
+    near = through(combinations(f, 2))  # f and its neighbors
+    if e in near:
+        return PseudoPath((e, f))
+    ring = through({p for g in near for p in combinations(g, 2)})  # within 2 of f
     parents: dict[Triple, Triple] = {e: e}
-    frontier = [e]
-    while frontier:
-        next_frontier = []
-        for g in frontier:
-            for nb in sorted(edge_neighbors(h, g), key=colex_index):
-                if nb in parents:
-                    continue
-                parents[nb] = g
-                if nb == f:
-                    path = [nb]
-                    while path[-1] != e:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return PseudoPath(tuple(path))
-                next_frontier.append(nb)
-        frontier = next_frontier
-    return None
+    expanded: set[Pair] = set()
+    queue = [e]  # breadth-first: grows while it is scanned
+    hits = [e] if e in ring else []
+    for g in queue:
+        if hits:
+            break
+        fresh = [p for p in combinations(g, 2) if p not in expanded]
+        expanded.update(fresh)
+        found = sorted(through(fresh) - parents.keys(), key=colex_index)
+        parents.update(dict.fromkeys(found, g))
+        queue += found
+        hits = [nb for nb in found if nb in ring]
+    if not hits:
+        return None
+    path = [hits[0]]
+    while path[-1] != e:
+        path.append(parents[path[-1]])
+    last = min(through(combinations(hits[0], 2)) & near, key=colex_index)
+    return PseudoPath((*reversed(path), last, f))
 
 
 # -- colorings -------------------------------------------------------------
@@ -444,11 +485,15 @@ class Coloring:
         return Color.RED if self.red_bits >> colex_index(t) & 1 else Color.BLUE
 
     def subhypergraph(self, color: Color) -> Hypergraph3:
-        """Host restricted to the edges of one color (cached)."""
+        """Host restricted to the edges of one color (cached); blue links are host XOR red."""
         sub = self._subs.get(color)
         if sub is None:
             bits = self.red_bits if color is Color.RED else self.blue_bits
             sub = Hypergraph3.from_bits(self.host.n, bits, self.host.vertex_mask)
+            if color is Color.BLUE:
+                red = self.subhypergraph(Color.RED).pair_links()
+                host = self.host.pair_links()
+                sub._pair_links = {p: m for p, hm in host.items() if (m := hm ^ red.get(p, 0))}
             self._subs[color] = sub
         return sub
 

@@ -49,8 +49,8 @@ from .core import (
     edge_neighbors,
     index_mask,
     mask_bits,
-    pair_component,
     pair_key,
+    shadow_components,
     triple_mask,
     within_mask,
 )
@@ -191,26 +191,13 @@ def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str
 
 @dataclass(frozen=True)
 class ComponentInfo:
-    """One monochromatic component with its shadow and neighbor masks."""
+    """One monochromatic component: its colex edge mask, shadow and neighbor masks."""
 
     cid: str
     color: Color
-    edges: tuple[Triple, ...]
+    edge_bits: int
     shadow: frozenset[tuple[int, int]]
     neighbor_masks: dict[int, int]
-
-    @classmethod
-    def build(cls, color: Color, sub: Hypergraph3, edges: tuple[Triple, ...]) -> "ComponentInfo":
-        """Component of ``sub`` (the color's subhypergraph) holding ``edges``."""
-        a, b, _ = edges[0]
-        pairs, masks = pair_component(sub, a, b)
-        return cls(
-            cid=f"{color.value}:{colex_index(edges[0])}",
-            color=color,
-            edges=edges,
-            shadow=frozenset(pairs),
-            neighbor_masks=masks,
-        )
 
 
 @dataclass
@@ -253,9 +240,9 @@ def partition_vertices(k: Hypergraph3, col: Coloring, params: Params) -> ColorPa
     """
     comps: list[ComponentInfo] = []
     for color in (Color.RED, Color.BLUE):
-        sub = col.subhypergraph(color)
-        for comp_edges in connected_components(sub):
-            comps.append(ComponentInfo.build(color, sub, comp_edges))
+        for bits, pairs, partners in shadow_components(col.subhypergraph(color)):
+            cid = f"{color.value}:{(bits & -bits).bit_length() - 1}"
+            comps.append(ComponentInfo(cid, color, bits, frozenset(pairs), partners))
 
     chosen: dict[int, str | None] = {}
     red_side: list[int] = []
@@ -460,7 +447,9 @@ def local_search_matching(
     Moves, each strictly increasing the covered-vertex count by three, are
     tried in order and the first applicable one fires:
 
-    * greedy-add: the smallest fully-uncovered edge of a major component;
+    * greedy-add: the smallest fully-uncovered edge of a major component,
+      the lowest set bit of the two major edge masks restricted to the
+      triples inside the uncovered vertices;
     * one-for-two: drop one matching edge, add two disjoint good edges
       whose vertices are otherwise uncovered;
     * two-for-three: drop two edges of one matching, re-cover two of their
@@ -476,16 +465,10 @@ def local_search_matching(
     covered = 0
     moves: list[dict] = []
 
-    add_candidates: list[tuple[int, Triple, Color]] = []
-    for color in (Color.RED, Color.BLUE):
-        info = majors[color]
-        if info is not None:
-            add_candidates.extend((triple_mask(t), t, color) for t in info.edges)
-    add_candidates.sort(key=lambda item: colex_index(item[1]))
-    add_pos = 0
-
     red_major = majors[Color.RED]
     blue_major = majors[Color.BLUE]
+    # the two colours share no edge, so the sum is the union of the masks
+    major_bits = sum(info.edge_bits for info in (red_major, blue_major) if info is not None)
     good_ready = red_major is not None and blue_major is not None
 
     def good(t: Triple) -> bool:
@@ -499,12 +482,9 @@ def local_search_matching(
         return color
 
     def try_greedy_add():
-        nonlocal add_pos
-        while add_pos < len(add_candidates):
-            mask, t, color = add_candidates[add_pos]
-            if mask & covered == 0:
-                return ("greedy-add", (), (t,))
-            add_pos += 1
+        free = major_bits & within_mask(k.vertex_mask & ~covered)
+        if free:
+            return ("greedy-add", (), (colex_inverse((free & -free).bit_length() - 1),))
         return None
 
     def good_edges_within(umask: int) -> list[Triple]:
@@ -594,8 +574,6 @@ def local_search_matching(
         after = covered.bit_count()
         if after <= before:
             raise RcoverError(f"move {kind} did not increase coverage")
-        if removed:
-            add_pos = 0
         moves.append(
             {
                 "stage": "move",
@@ -745,6 +723,42 @@ class PerfectMatchingResult:
     degree_threshold: float
 
 
+def _extend_perfect(by_lowest: dict, mask: int, acc: list[Triple]) -> bool:
+    """Extend ``acc`` by edges covering exactly ``mask``, lowest vertex first."""
+    if mask == 0:
+        return True
+    low = (mask & -mask).bit_length() - 1
+    for e in by_lowest.get(low, ()):
+        em = triple_mask(e)
+        if em & mask == em:
+            acc.append(e)
+            if _extend_perfect(by_lowest, mask & ~em, acc):
+                return True
+            acc.pop()
+    return False
+
+
+def _search_maximum(by_lowest: dict, mask: int, acc: list[Triple], best: list[Triple]) -> None:
+    """Replace ``best`` by any larger matching that extends ``acc`` inside ``mask``."""
+    if len(acc) + mask.bit_count() // 3 <= len(best):
+        return
+    if mask == 0:
+        if len(acc) > len(best):
+            best[:] = acc
+        return
+    low = (mask & -mask).bit_length() - 1
+    for e in by_lowest.get(low, ()):
+        em = triple_mask(e)
+        if em & mask == em:
+            acc.append(e)
+            _search_maximum(by_lowest, mask & ~em, acc, best)
+            acc.pop()
+    # leave the lowest vertex uncovered
+    if len(acc) > len(best):
+        best[:] = acc
+    _search_maximum(by_lowest, mask & ~(1 << low), acc, best)
+
+
 def perfect_matching_dense(b: Hypergraph3) -> PerfectMatchingResult:
     """Exact perfect matching search; falls back to a maximum matching.
 
@@ -775,21 +789,8 @@ def perfect_matching_dense(b: Hypergraph3) -> PerfectMatchingResult:
     for v in verts:
         full |= 1 << v
 
-    def extend(mask: int, acc: list[Triple]) -> bool:
-        if mask == 0:
-            return True
-        low = (mask & -mask).bit_length() - 1
-        for e in by_lowest.get(low, ()):
-            em = triple_mask(e)
-            if em & mask == em:
-                acc.append(e)
-                if extend(mask & ~em, acc):
-                    return True
-                acc.pop()
-        return False
-
     acc: list[Triple] = []
-    if extend(full, acc):
+    if _extend_perfect(by_lowest, full, acc):
         return PerfectMatchingResult(
             matching=tuple(acc),
             perfect=True,
@@ -801,28 +802,7 @@ def perfect_matching_dense(b: Hypergraph3) -> PerfectMatchingResult:
 
     # no perfect matching: exact maximum matching by bounded backtracking
     best: list[Triple] = []
-
-    def search(mask: int, acc: list[Triple]) -> None:
-        nonlocal best
-        if len(acc) + mask.bit_count() // 3 <= len(best):
-            return
-        if mask == 0:
-            if len(acc) > len(best):
-                best = list(acc)
-            return
-        low = (mask & -mask).bit_length() - 1
-        for e in by_lowest.get(low, ()):
-            em = triple_mask(e)
-            if em & mask == em:
-                acc.append(e)
-                search(mask & ~em, acc)
-                acc.pop()
-        # leave the lowest vertex uncovered
-        if len(acc) > len(best):
-            best = list(acc)
-        search(mask & ~(1 << low), acc)
-
-    search(full, [])
+    _search_maximum(by_lowest, full, [], best)
     covered = 0
     for e in best:
         covered |= triple_mask(e)

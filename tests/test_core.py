@@ -16,11 +16,17 @@ from rcover.core import (
     colex_inverse,
     connected_components,
     connecting_path,
+    edge_neighbors,
     tight_adjacent,
 )
 from rcover.errors import InvalidPairError, NotAnEdgeError
+from rcover.generators import (
+    monochromatic_instance,
+    planted_partition_instance,
+    uniform_instance,
+)
 
-from conftest import random_hypergraph
+from conftest import random_coloring, random_hypergraph
 
 
 # -- colex -------------------------------------------------------------------
@@ -105,6 +111,39 @@ def test_link_shadow_symmetry_random(rng):
                 assert bool(h.link(x, y)) == in_shadow
                 assert bool(h.neighbor_mask(x) >> y & 1) == in_shadow
                 assert bool(h.neighbor_mask(y) >> x & 1) == in_shadow
+
+
+def _reference_links(h):
+    """Link table built edge by edge: three dict updates per decoded edge."""
+    links = {}
+    for a, b, c in h.edges:
+        for pair, z in (((a, b), c), ((a, c), b), ((b, c), a)):
+            links[pair] = links.get(pair, 0) | (1 << z)
+    return links
+
+
+def test_pair_links_match_edge_by_edge_reference(rng):
+    complete = [Hypergraph3.complete(n) for n in (0, 2, 3, 4, 9)]
+    k12 = Hypergraph3.complete(12)
+    induced = [k12.induced(vs) for vs in ([1, 3, 4, 8, 11], [5, 6], range(2, 12))]
+    small = [Hypergraph3(7, []), Hypergraph3(7, [(2, 4, 6)]), Hypergraph3(9, [], range(3, 8))]
+    hosts = [random_hypergraph(20, d, rng) for d in (0.2, 0.5, 0.8)]
+    hosts += [h.induced(range(3, 17)) for h in hosts]
+    for h in complete + induced + small + hosts:
+        assert h.pair_links() == _reference_links(h)
+
+
+def test_color_links_match_edge_by_edge_reference(rng):
+    cols = [uniform_instance(14, p, seed) for p in (0.05, 0.5, 0.95) for seed in (0, 1)]
+    cols += [planted_partition_instance(15, s) for s in ([13, 1, 1], [7, 8], [6, 5, 2])]
+    cols += [monochromatic_instance(9, color) for color in (Color.RED, Color.BLUE)]
+    # colorings of hosts that are not complete on their vertex set
+    cols += [random_coloring(random_hypergraph(20, d, rng), rng) for d in (0.2, 0.5, 0.8)]
+    cols.append(cols[1].restrict(cols[1].host.induced(range(2, 13))))
+    for col in cols:
+        for color in (Color.RED, Color.BLUE):
+            sub = col.subhypergraph(color)
+            assert sub.pair_links() == _reference_links(sub)
 
 
 # -- storage representations ---------------------------------------------------
@@ -200,6 +239,9 @@ def test_components_partition_property(rng):
         flat = [e for c in comps for e in c]
         assert sorted(flat) == sorted(h.edges)  # disjoint cover of the edge set
         assert {frozenset(c) for c in comps} == _closure_components(h)
+        # edges in colex order, components sorted by their first edge
+        assert all(list(c) == sorted(c, key=colex_index) for c in comps)
+        assert [c[0] for c in comps] == sorted((c[0] for c in comps), key=colex_index)
 
 
 # -- connecting paths --------------------------------------------------------------
@@ -249,6 +291,44 @@ def _bfs_distance(h, e, f):
                     seen.add(other)
         frontier = nxt
     return None
+
+
+def _plain_bfs_path(h, e, f):
+    """Level-by-level BFS expanding every neighbor of every edge, in colex order."""
+    if e == f:
+        return (e,)
+    parents = {e: e}
+    frontier = [e]
+    while frontier:
+        next_frontier = []
+        for g in frontier:
+            for nb in sorted(edge_neighbors(h, g), key=colex_index):
+                if nb in parents:
+                    continue
+                parents[nb] = g
+                if nb == f:
+                    path = [f]
+                    while path[-1] != e:
+                        path.append(parents[path[-1]])
+                    return tuple(reversed(path))
+                next_frontier.append(nb)
+        frontier = next_frontier
+    return None
+
+
+def test_connecting_path_matches_plain_bfs(rng):
+    shapes = ((9, 0.2), (11, 0.1), (13, 0.6))
+    hosts = [random_hypergraph(n, p, rng) for n, p in shapes for _ in range(4)]
+    hosts += [uniform_instance(14, p, s).subhypergraph(Color.RED) for p in (0.08, 0.5) for s in (0, 1)]
+    lengths = set()
+    for h in hosts:
+        edges = list(h.edges)
+        for _ in range(60):
+            e, f = rng.choice(edges), rng.choice(edges)
+            path = connecting_path(h, e, f)
+            assert (None if path is None else path.edges) == _plain_bfs_path(h, e, f)
+            lengths.add(None if path is None else path.length)
+    assert {None, 1, 2, 3, 4, 5, 6} <= lengths
 
 
 def test_connecting_path_shortest_and_valid(rng):

@@ -169,13 +169,12 @@ def test_search_hard_cap():
 
 
 def test_search_budget_timeout():
-    col = uniform_instance(12, 0.5, 5)
-    out = search_cycle_pair(col.host, col, 0, ODD, ODD, budget_ms=0)
-    # odd+odd can never sum to 12, but intermediate covered totals force real
-    # search; with a zero budget the clock wins
-    assert out.status in ("timeout", "exhausted")
-    out2 = search_cycle_pair(col.host, col, 2, ODD, ODD, budget_ms=0)
-    assert out2.status == "timeout"
+    # all red with blue even: no pair exists, and proving it takes far more
+    # than the 1 024 search nodes between two clock polls
+    col = monochromatic_instance(12, Color.RED)
+    for mu in (0, 2):
+        assert search_cycle_pair(col.host, col, mu, ANY, EVEN, budget_ms=0).status == "timeout"
+        assert search_cycle_pair(col.host, col, mu, ANY, EVEN).status == "exhausted"
 
 
 # -- loose cycles ---------------------------------------------------------------

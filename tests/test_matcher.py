@@ -1,18 +1,32 @@
 """Pipeline stages: cleanup, partition, exchange search, residual branch, cover."""
 
+import gc
 import random
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from rcover.core import Color, Coloring, Hypergraph3, PseudoPath, colex_index
+from rcover.core import (
+    Color,
+    Coloring,
+    Hypergraph3,
+    PseudoPath,
+    colex_index,
+    connected_components,
+    decode_edges,
+    pair_component,
+)
 from rcover.errors import (
     BranchInapplicableError,
     CleanupExhaustedError,
     GoodEdgeUndefinedError,
 )
-from rcover.generators import monochromatic_instance, uniform_instance
+from rcover.generators import (
+    monochromatic_instance,
+    planted_partition_instance,
+    uniform_instance,
+)
 from rcover.matcher import (
     CoverResult,
     Params,
@@ -30,6 +44,8 @@ from rcover.matcher import (
     verify_cover,
 )
 from rcover.oracle import oracle_matching_cover, oracle_perfect_matching
+
+from conftest import random_coloring, random_hypergraph
 
 GAMMA_DESK = 1e-3  # delta > 1: thresholds vacuous, cleanup is a no-op on dense hosts
 GAMMA_THIRD = (1 / 30) ** 6  # delta = 1/3
@@ -179,6 +195,27 @@ def test_partition_tie_prefers_red():
     assert set(part.red_side) == {0, 1, 2, 6}
     assert set(part.blue_side) == {3, 4, 5}
     assert part.chosen[6] is None
+
+
+def test_partition_components_match_a_fresh_pair_search(rng):
+    # each component's edges, shadow and neighbor masks are those of
+    # connected_components plus a pair search from its first edge
+    cols = [planted_partition_instance(15, [6, 5, 2]), uniform_instance(9, 0.9, 4)]
+    cols += [random_coloring(random_hypergraph(12, 0.15, rng), rng) for _ in range(4)]
+    for col in cols:
+        part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
+        expected = {}
+        for color in (Color.RED, Color.BLUE):
+            sub = col.subhypergraph(color)
+            for comp in connected_components(sub):
+                pairs, masks = pair_component(sub, comp[0][0], comp[0][1])
+                cid = f"{color.value}:{colex_index(comp[0])}"
+                expected[cid] = (comp, frozenset(pairs), masks)
+        got = {
+            cid: (decode_edges(info.edge_bits), info.shadow, info.neighbor_masks)
+            for cid, info in part.components.items()
+        }
+        assert list(got.items()) == list(expected.items())  # same order too
 
 
 def test_partition_hypotheses_logged():
@@ -514,16 +551,20 @@ def test_cover_propagates_cleanup_exhaustion():
         cover(col.host, col, (0.001) ** 6)  # delta = 0.01 kills K8
 
 
-def test_cover_residual_branch_end_to_end():
-    # triples inside S = {0..51} blue, the rest red; every vertex prefers the
-    # spanning red component, greedy strands the 36-vertex blue clique
-    # {16..51}, and only the residual branch can match it
+def _stranded_clique():
+    """K60 with the triples inside S = {0..51} blue, the rest red; delta = 0.0375.
+
+    Every vertex prefers the spanning red component, greedy strands the
+    36-vertex blue clique {16..51}, and only the residual branch can match it.
+    """
     host = Hypergraph3.complete(60)
     s = set(range(52))
     red = [t for t in host.edges if not set(t) <= s]
-    col = Coloring(host, red)
-    delta = 0.0375
-    gamma = (delta / 10) ** 6
+    return host, Coloring(host, red), (0.0375 / 10) ** 6
+
+
+def test_cover_residual_branch_end_to_end():
+    host, col, gamma = _stranded_clique()
     res = cover(host, col, gamma)
     assert res.covered == 60
     assert len(res.red.edges) == 8
@@ -532,6 +573,20 @@ def test_cover_residual_branch_end_to_end():
     assert "branch" in stages and "early-exit" not in stages
     ok, diags = verify_cover(res, host, col)
     assert ok, diags
+
+
+def test_cover_residual_branch_leaves_no_reference_cycles():
+    # objects in reference cycles outlive their last use until the cyclic
+    # collector runs, which a run that allocates little seldom triggers
+    host, col, gamma = _stranded_clique()
+    gc.collect()
+    gc.disable()
+    try:
+        res = cover(host, col, gamma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(ev["stage"] == "branch" and "residual" in ev["detail"] for ev in res.trace)
 
 
 def test_cover_early_exit_logged_at_desk_scale():
