@@ -30,11 +30,10 @@ from .cycles import (
 from .matcher import (
     ConnectedMatching,
     CoverResult,
-    Params,
     clean,
     cover,
+    delta_of,
     dissolve_matching,
-    is_good_edge,
     local_search_matching,
     partition_vertices,
     perfect_matching_dense,
@@ -67,7 +66,6 @@ __all__ = [
     "Hypergraph3",
     "LooseCycle",
     "OracleReport",
-    "Params",
     "PseudoPath",
     "ReducedHypergraph",
     "SearchOutcome",
@@ -81,10 +79,10 @@ __all__ = [
     "connected_components",
     "connecting_path",
     "cover",
+    "delta_of",
     "density",
     "density_tuple",
     "dissolve_matching",
-    "is_good_edge",
     "local_search_matching",
     "loose_from_tight",
     "oracle_cycle_pair",

@@ -35,6 +35,7 @@ from .formats import (
     cover_to_json,
     cycle_pair_to_json,
     h3json_dumps,
+    int_rows,
     load_instance,
     oracle_report_to_json,
     save_instance,
@@ -215,15 +216,19 @@ def cmd_reduce(args) -> int:
     h, col = load_instance(args.input)
     h_red = col.subhypergraph(Color.RED) if col is not None else h
     part_doc = json.loads(Path(args.partition).read_text())
-    classes = part_doc["classes"]
+    if not isinstance(part_doc, dict) or not isinstance(part_doc.get("bip", {}), dict):
+        raise FormatError('partition must be a JSON object {"classes": [..], "bip": {..}}')
+    classes = int_rows(part_doc.get("classes"), None, "class")
     bip = {}
     for key, pairs in part_doc.get("bip", {}).items():
         i, j = (int(x) for x in key.split(","))
-        bip[(i, j)] = [tuple(p) for p in pairs]
+        bip[(i, j)] = int_rows(pairs, 2, f"bip {key} pair")
     flags = None
     if args.regular_flags:
         flags_doc = json.loads(Path(args.regular_flags).read_text())
-        flags = [tuple(f) for f in flags_doc["regular"]]
+        if not isinstance(flags_doc, dict):
+            raise FormatError('regular flags must be a JSON object {"regular": [..]}')
+        flags = int_rows(flags_doc.get("regular"), 3, "regular flag")
     reduced = build_reduced(classes, bip, h_red, regular_flags=flags)
     host = reduced.host()
     rcol = Coloring(host, [e for e in reduced.edges if reduced.colors[e] is Color.RED])

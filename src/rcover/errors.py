@@ -21,10 +21,6 @@ class CleanupExhaustedError(RcoverError):
         self.report = report
 
 
-class GoodEdgeUndefinedError(RcoverError):
-    """Good-edge test queried while a major component is absent."""
-
-
 class BranchInapplicableError(RcoverError):
     """A pipeline branch's precondition failed; callers fall back."""
 

@@ -16,6 +16,25 @@ h3bits
 Result payloads (cover results, cycle pairs, oracle reports) are plain JSON
 documents produced by the ``*_to_json`` helpers below; timing data is never
 part of them so reruns are byte-identical.
+
+Cover trace
+    ``trace`` is a list of ``{"stage", "detail"}`` events.  ``clean`` and
+    ``partition`` come first, once each; ``move`` events follow in the order
+    applied; then either one ``early-exit``, or up to two ``branch`` events
+    closed by one ``select``.  The detail keys of each stage:
+
+    * ``clean``: t_before, t_after, deleted, rounds, deactivated_pairs,
+      bound_held;
+    * ``partition``: red_side, blue_side, red_core, blue_core (sizes),
+      major_red, major_blue (component ids or null);
+    * ``move``: kind (greedy-add, one-for-two, two-for-three), removed,
+      added, covered (after the move);
+    * ``early-exit``: residual_red, residual_blue, twelve_delta_t;
+    * ``branch``: minor, plus either residual (anchor, filtered_out,
+      component_size, trimmed), pm_perfect, pm_size, rematched and
+      dissolve_leftovers, or error, or invalid (the failed checks);
+    * ``select``: candidates (covered count of each verified candidate,
+      the local-search cover first), covered.
 """
 
 from __future__ import annotations
@@ -34,13 +53,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _triples(rows) -> list[tuple[int, int, int]]:
-    """Triples from a JSON array of three-integer arrays; FormatError otherwise."""
+def int_rows(rows, width: int | None = 3, what: str = "edge") -> list[tuple[int, ...]]:
+    """Tuples from a JSON array of integer arrays; FormatError otherwise.
+
+    Each array holds ``width`` integers, or any number when ``width`` is None.
+    """
     if not isinstance(rows, list):
-        raise FormatError("expected an array of edges")
+        raise FormatError(f"expected an array of {what} arrays")
     for r in rows:
-        if not isinstance(r, list) or len(r) != 3 or any(type(v) is not int for v in r):
-            raise FormatError(f"edge {r!r} is not an array of three integers")
+        if not isinstance(r, list) or width not in (None, len(r)) or any(type(v) is not int for v in r):
+            raise FormatError(f"{what} {r!r} is not an array of {width or 'any number of'} integers")
     return [tuple(r) for r in rows]
 
 
@@ -66,7 +88,7 @@ def h3json_loads(text: str) -> tuple[Hypergraph3, Coloring | None]:
     n = doc["n"]
     if type(n) is not int:
         raise FormatError(f"'n' must be an integer, got {n!r}")
-    edges = _triples(doc["edges"])
+    edges = int_rows(doc["edges"])
     for e in edges:
         if not (e[0] < e[1] < e[2]):
             raise FormatError(f"edge {e} is not an ascending triple")
@@ -157,9 +179,9 @@ def matching_from_json(doc) -> "ConnectedMatching":
 
     return ConnectedMatching(
         color=Color(doc["color"]),
-        edges=tuple(_triples(doc["edges"])),
+        edges=tuple(int_rows(doc["edges"])),
         component_id=doc["component"],
-        certificates=tuple(PseudoPath(tuple(_triples(p))) for p in doc["certificates"]),
+        certificates=tuple(PseudoPath(tuple(int_rows(p))) for p in doc["certificates"]),
     )
 
 

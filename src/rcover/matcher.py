@@ -21,17 +21,16 @@ The pipeline mirrors a constructive covering argument for almost-complete
 
 ``cover`` wires the stages together, attempts both color orientations of the
 residual branch, and returns the best result that passes ``verify_cover``.
-
-Threshold hypotheses from the underlying counting argument (|R| >= 6*delta*t
-and friends) are evaluated and logged in the trace but never gate the
-constructive pipeline: at desk scale they are almost always vacuous, while
-the constructions remain perfectly checkable.  Structural claims that only
-hold under those hypotheses are likewise recorded, not assumed.
+The branch is skipped when both leftover cores are below 12*delta*t: past
+that point the counting argument has nothing left to cover, so the
+local-search result stands.  A leftover core has at most t vertices, so the
+branch can only run when delta <= 1/12 (gamma <= (1/120)^6, about 3e-13);
+every gamma >= 1e-6 gives delta >= 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, comb
 
 from .core import (
@@ -57,43 +56,17 @@ from .core import (
 from .errors import (
     BranchInapplicableError,
     CleanupExhaustedError,
-    GoodEdgeUndefinedError,
-    NotAnEdgeError,
     RcoverError,
 )
 
 # -- parameters --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Params:
-    """Gamma-derived constants; thresholds are evaluated against a vertex count."""
-
-    gamma: float
-    delta: float
-    coverage_bound: float
-    eta_pm: float = 5.0 / 36.0
-
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "Params":
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        delta = 10.0 * gamma ** (1.0 / 6.0)
-        return cls(gamma=gamma, delta=delta, coverage_bound=29.0 * delta)
-
-    def thresholds(self, t: int) -> dict[str, float]:
-        d = self.delta
-        return {
-            "six_delta_t": 6.0 * d * t,
-            "two_delta_t": 2.0 * d * t,
-            "eight_delta_t": 8.0 * d * t,
-            "twelve_delta_t": 12.0 * d * t,
-            "three_delta_t_plus_2": 3.0 * d * t + 2.0,
-        }
-
-    def vacuous(self, t: int) -> bool:
-        """True when some threshold reaches t, voiding the counting claims."""
-        return not all(v < t for v in self.thresholds(t).values())
+def delta_of(gamma: float) -> float:
+    """delta = 10 * gamma^(1/6), the slack of every pipeline threshold."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    return 10.0 * gamma ** (1.0 / 6.0)
 
 
 # -- cleanup -----------------------------------------------------------------
@@ -125,7 +98,7 @@ def clean(h: Hypergraph3, gamma: float) -> tuple[Hypergraph3, CleanReport]:
     Returns the input host itself when nothing is deleted.  Raises
     CleanupExhaustedError (with the report attached) if every vertex dies.
     """
-    delta = Params.from_gamma(gamma).delta
+    delta = delta_of(gamma)
     n = h.n
     k = h
     rounds = 0
@@ -170,7 +143,7 @@ def clean(h: Hypergraph3, gamma: float) -> tuple[Hypergraph3, CleanReport]:
 
 def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str]]:
     """Independent verifier of the two cleanup fixpoint properties."""
-    delta = Params.from_gamma(gamma).delta
+    delta = delta_of(gamma)
     problems = []
     in_pair = set()
     for pair in k.active_pairs():
@@ -207,8 +180,7 @@ class ColorPartition:
     ``red_side`` holds the vertices whose best-seen component is red (ties
     prefer red, then the component with the smaller first edge), and
     ``red_core`` the subset aligned with the most frequent red choice
-    ``major_red``; symmetrically for blue.  ``hypotheses`` records whether
-    the counting-argument side conditions held; they never gate anything.
+    ``major_red``; symmetrically for blue.
     """
 
     red_side: tuple[int, ...]
@@ -219,7 +191,6 @@ class ColorPartition:
     red_core: tuple[int, ...]
     blue_core: tuple[int, ...]
     components: dict[str, ComponentInfo] = field(default_factory=dict)
-    hypotheses: dict[str, bool | None] = field(default_factory=dict)
 
     def major(self, color: Color) -> ComponentInfo | None:
         cid = self.major_red if color is Color.RED else self.major_blue
@@ -229,7 +200,7 @@ class ColorPartition:
         return self.red_core if color is Color.RED else self.blue_core
 
 
-def partition_vertices(k: Hypergraph3, col: Coloring, params: Params) -> ColorPartition:
+def partition_vertices(k: Hypergraph3, col: Coloring) -> ColorPartition:
     """Assign every vertex its best monochromatic component; derive majors.
 
     For each vertex x the chosen component maximizes |N_C(x)| over all
@@ -286,15 +257,6 @@ def partition_vertices(k: Hypergraph3, col: Coloring, params: Params) -> ColorPa
     major_blue = major_of(blue_side, Color.BLUE)
     red_core = tuple(x for x in red_side if chosen[x] == major_red) if major_red else ()
     blue_core = tuple(x for x in blue_side if chosen[x] == major_blue) if major_blue else ()
-
-    t = k.t
-    th = params.thresholds(t)
-    hypotheses = {
-        "red_side_large": len(red_side) >= th["six_delta_t"],
-        "blue_side_large": len(blue_side) >= th["six_delta_t"],
-        "red_outliers_small": len(red_side) - len(red_core) <= th["two_delta_t"],
-        "blue_outliers_small": len(blue_side) - len(blue_core) <= th["two_delta_t"],
-    }
     return ColorPartition(
         red_side=tuple(red_side),
         blue_side=tuple(blue_side),
@@ -304,23 +266,11 @@ def partition_vertices(k: Hypergraph3, col: Coloring, params: Params) -> ColorPa
         red_core=red_core,
         blue_core=blue_core,
         components=by_id,
-        hypotheses=hypotheses,
     )
 
 
-def is_good_edge(k: Hypergraph3, col: Coloring, part: ColorPartition, e: Triple) -> bool:
-    """One pair of e in the major red shadow, a different pair in the blue one."""
-    if not k.has_edge(e):
-        raise NotAnEdgeError(f"{e} is not an edge")
-    red = part.major(Color.RED)
-    blue = part.major(Color.BLUE)
-    if red is None or blue is None:
-        raise GoodEdgeUndefinedError("good edges need both major components")
-    return _good(red.shadow, blue.shadow, e)
-
-
 def _good(red_shadow, blue_shadow, t: Triple) -> bool:
-    """Good-edge test against the two major shadows, without the checks."""
+    """One pair of t in the major red shadow, a different pair in the blue one."""
     a, b, c = t
     pairs = ((a, b), (a, c), (b, c))
     in_r = [p in red_shadow for p in pairs]
@@ -352,10 +302,7 @@ class ConnectedMatching:
     certificates: tuple[PseudoPath, ...]
 
     def vertex_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            out.update(e)
-        return frozenset(out)
+        return frozenset(v for e in self.edges for v in e)
 
     def covered(self) -> int:
         return 3 * len(self.edges)
@@ -457,8 +404,8 @@ def local_search_matching(
       displaced vertices with a fresh linking edge anchored in the shadow of
       its color's major component.
 
-    Good-edge moves are skipped (and noted) while either major component is
-    absent.  Returns the two matchings plus the applied-move trace.
+    Good-edge moves are skipped while either major component is absent.
+    Returns the two matchings plus the applied-move trace.
     """
     majors = {c: part.major(c) for c in (Color.RED, Color.BLUE)}
     matching: dict[Color, set[Triple]] = {Color.RED: set(), Color.BLUE: set()}
@@ -586,18 +533,6 @@ def local_search_matching(
             }
         )
 
-    if not good_ready:
-        moves.append(
-            {
-                "stage": "move-note",
-                "detail": {
-                    "note": "good-edge moves skipped: a major component is absent",
-                    "major_red": part.major_red,
-                    "major_blue": part.major_blue,
-                },
-            }
-        )
-
     red_cm = build_matching(
         col, Color.RED, matching[Color.RED], part.major_red if matching[Color.RED] else None
     )
@@ -605,33 +540,6 @@ def local_search_matching(
         col, Color.BLUE, matching[Color.BLUE], part.major_blue if matching[Color.BLUE] else None
     )
     return red_cm, blue_cm, moves
-
-
-def structural_claims(
-    part: ColorPartition,
-    red_m: ConnectedMatching,
-    blue_m: ConnectedMatching,
-    params: Params,
-    t: int,
-) -> dict:
-    """Post-search claims from the exchange argument, evaluated and labeled.
-
-    For every edge of a matching, the number of its vertices lying in the
-    opposite core should be 0 once the exchange moves are exhausted (first
-    <= 1, then != 1).  Only meaningful when the thresholds are non-vacuous;
-    the vacuous flag says whether the claims were in force.
-    """
-    vacuous = params.vacuous(t)
-    out = {"vacuous": vacuous}
-    for m in (blue_m, red_m):
-        # the argument bounds |edge ∩ blue core| for blue matching edges (and
-        # symmetrically): once exchanges are exhausted the overlap must be 0
-        core = set(part.blue_core) if m.color is Color.BLUE else set(part.red_core)
-        overlaps = [len(set(e) & core) for e in m.edges]
-        out[f"{m.color.value}_max_core_overlap"] = max(overlaps, default=0)
-        out[f"{m.color.value}_claim_at_most_one"] = all(o <= 1 for o in overlaps)
-        out[f"{m.color.value}_claim_not_exactly_one"] = all(o != 1 for o in overlaps)
-    return out
 
 
 # -- residual branch ------------------------------------------------------------
@@ -693,15 +601,11 @@ def residual_component(
     if comp_edges is None:
         raise BranchInapplicableError("anchor vanished from the induced subhypergraph")
 
-    comp_vertices = set()
-    for e in comp_edges:
-        comp_vertices.update(e)
+    comp_vertices = {v for e in comp_edges for v in e}
     trim_count = len(comp_vertices) % 3
     trimmed = tuple(sorted(comp_vertices, reverse=True)[:trim_count])
     keep = comp_vertices - set(trimmed)
-    tmask = 0
-    for v in trimmed:
-        tmask |= 1 << v
+    tmask = sum(1 << v for v in trimmed)
     edges = [e for e in comp_edges if triple_mask(e) & tmask == 0]
     host = Hypergraph3(k.n, edges, vertices=keep)
     info = {
@@ -718,24 +622,6 @@ class PerfectMatchingResult:
     matching: tuple[Triple, ...]
     perfect: bool
     uncovered: tuple[int, ...]
-    degree_condition_met: bool
-    min_degree: int
-    degree_threshold: float
-
-
-def _extend_perfect(by_lowest: dict, mask: int, acc: list[Triple]) -> bool:
-    """Extend ``acc`` by edges covering exactly ``mask``, lowest vertex first."""
-    if mask == 0:
-        return True
-    low = (mask & -mask).bit_length() - 1
-    for e in by_lowest.get(low, ()):
-        em = triple_mask(e)
-        if em & mask == em:
-            acc.append(e)
-            if _extend_perfect(by_lowest, mask & ~em, acc):
-                return True
-            acc.pop()
-    return False
 
 
 def _search_maximum(by_lowest: dict, mask: int, acc: list[Triple], best: list[Triple]) -> None:
@@ -760,60 +646,31 @@ def _search_maximum(by_lowest: dict, mask: int, acc: list[Triple], best: list[Tr
 
 
 def perfect_matching_dense(b: Hypergraph3) -> PerfectMatchingResult:
-    """Exact perfect matching search; falls back to a maximum matching.
+    """Exact maximum matching, perfect whenever a perfect matching exists.
 
     Backtracks on the smallest uncovered vertex, trying its edges in colex
-    order.  The dense-degree hypothesis (every vertex in at least 25/36 of
-    all pairs' worth of edges) is evaluated and reported, never required: at
-    desk scale the asymptotic theorem may simply not apply, in which case a
-    maximum matching and the uncovered remainder are returned.
+    order before leaving it uncovered, and prunes branches that cannot beat
+    the best matching so far.  Covering branches come first, so the first
+    perfect matching in that order is found and ends the search.  The
+    matching is returned in colex order with the uncovered remainder.
     """
     verts = sorted(b.vertices)
     m = len(verts)
     if m % 3 != 0:
         raise ValueError(f"vertex count {m} is not a multiple of three")
 
-    degree: dict[int, int] = {v: 0 for v in verts}
-    for e in b.edges:
-        for v in e:
-            degree[v] += 1
-    threshold = (25.0 / 36.0) * comb(m, 2) if m else 0.0
-    min_degree = min(degree.values(), default=0)
-    condition = m > 0 and min_degree >= threshold
-
     by_lowest: dict[int, list[Triple]] = {v: [] for v in verts}
     for e in b.edges:  # colex order
         by_lowest[min(e)].append(e)
 
-    full = 0
-    for v in verts:
-        full |= 1 << v
-
-    acc: list[Triple] = []
-    if _extend_perfect(by_lowest, full, acc):
-        return PerfectMatchingResult(
-            matching=tuple(acc),
-            perfect=True,
-            uncovered=(),
-            degree_condition_met=condition,
-            min_degree=min_degree,
-            degree_threshold=threshold,
-        )
-
-    # no perfect matching: exact maximum matching by bounded backtracking
     best: list[Triple] = []
-    _search_maximum(by_lowest, full, [], best)
-    covered = 0
-    for e in best:
-        covered |= triple_mask(e)
+    _search_maximum(by_lowest, b.vertex_mask, [], best)
+    covered = sum(triple_mask(e) for e in best)  # disjoint: the sum is the union
     uncovered = tuple(v for v in verts if not covered >> v & 1)
     return PerfectMatchingResult(
         matching=tuple(sorted(best, key=colex_index)),
-        perfect=False,
+        perfect=not uncovered,
         uncovered=uncovered,
-        degree_condition_met=condition,
-        min_degree=min_degree,
-        degree_threshold=threshold,
     )
 
 
@@ -879,10 +736,7 @@ def dissolve_matching(
         raise BranchInapplicableError(
             f"dissolution produced off-{major.value} triples: {off_color}"
         )
-    all_vertices: set[int] = set()
-    for e in minor_edges:
-        all_vertices.update(e)
-    leftovers = tuple(sorted(all_vertices - matched_vertices))
+    leftovers = tuple(sorted({v for e in minor_edges for v in e} - matched_vertices))
     return tuple(sorted(matched, key=colex_index)), leftovers
 
 
@@ -938,12 +792,7 @@ def _run_branch(
     pm = perfect_matching_dense(host)
     rematched, leftovers = dissolve_matching(k, col, part, minor_m.edges, minor)
 
-    major_final = build_matching(
-        col,
-        major,
-        tuple(major_m.edges) + rematched,
-        part.major_red if major is Color.RED else part.major_blue,
-    )
+    major_final = build_matching(col, major, major_m.edges + rematched, part.major(major).cid)
     minor_comp_id = None
     if pm.matching:
         low = host.edge_bits & -host.edge_bits
@@ -958,7 +807,6 @@ def _run_branch(
                 "residual": info,
                 "pm_perfect": pm.perfect,
                 "pm_size": len(pm.matching),
-                "pm_degree_ok": pm.degree_condition_met,
                 "rematched": len(rematched),
                 "dissolve_leftovers": list(leftovers),
             },
@@ -979,7 +827,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
     verifies is returned, falling back to the local-search result when a
     branch's preconditions fail.
     """
-    params = Params.from_gamma(gamma)
+    delta = delta_of(gamma)
     trace: list[dict] = []
 
     k, report = clean(h, gamma)
@@ -997,7 +845,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
         }
     )
     col_k = col if k is h else col.restrict(k)
-    part = partition_vertices(k, col_k, params)
+    part = partition_vertices(k, col_k)
     trace.append(
         {
             "stage": "partition",
@@ -1008,15 +856,12 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
                 "major_blue": part.major_blue,
                 "red_core": len(part.red_core),
                 "blue_core": len(part.blue_core),
-                "hypotheses": dict(part.hypotheses),
             },
         }
     )
 
     red_m, blue_m, moves = local_search_matching(k, col_k, part)
     trace.extend(moves)
-    claims = structural_claims(part, red_m, blue_m, params, k.t)
-    trace.append({"stage": "claims", "detail": claims})
 
     base = _assemble(h, red_m, blue_m, list(trace))
     ok, diags = verify_cover(base, h, col)
@@ -1026,15 +871,15 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
     covered_set = red_m.vertex_set() | blue_m.vertex_set()
     res_red = len([v for v in part.red_core if v not in covered_set])
     res_blue = len([v for v in part.blue_core if v not in covered_set])
-    th = params.thresholds(k.t)
-    if res_red < th["twelve_delta_t"] and res_blue < th["twelve_delta_t"]:
+    twelve_delta_t = 12.0 * delta * k.t
+    if res_red < twelve_delta_t and res_blue < twelve_delta_t:
         trace.append(
             {
                 "stage": "early-exit",
                 "detail": {
                     "residual_red": res_red,
                     "residual_blue": res_blue,
-                    "twelve_delta_t": th["twelve_delta_t"],
+                    "twelve_delta_t": twelve_delta_t,
                 },
             }
         )
@@ -1045,30 +890,17 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
     first_minor = Color.BLUE if res_red >= res_blue else Color.RED
     for minor in (first_minor, first_minor.other()):
         try:
-            bred, bblue, events = _run_branch(
-                k, col_k, part, red_m, blue_m, minor
-            )
-        except (BranchInapplicableError, RcoverError) as exc:
-            trace.append(
-                {
-                    "stage": "branch",
-                    "detail": {"minor": minor.value, "error": str(exc)},
-                }
-            )
+            bred, bblue, events = _run_branch(k, col_k, part, red_m, blue_m, minor)
+        except RcoverError as exc:  # BranchInapplicableError among others
+            trace.append({"stage": "branch", "detail": {"minor": minor.value, "error": str(exc)}})
             continue
-        branch_trace = list(trace) + events
-        cand = _assemble(h, bred, bblue, branch_trace)
+        cand = _assemble(h, bred, bblue, trace + events)
         ok, diags = verify_cover(cand, h, col)
         if ok:
             candidates.append(cand)
             trace.extend(events)
         else:
-            trace.append(
-                {
-                    "stage": "branch",
-                    "detail": {"minor": minor.value, "invalid": diags},
-                }
-            )
+            trace.append({"stage": "branch", "detail": {"minor": minor.value, "invalid": diags}})
 
     best = max(candidates, key=lambda r: r.covered)
     trace.append(
@@ -1080,13 +912,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
             },
         }
     )
-    return CoverResult(
-        red=best.red,
-        blue=best.blue,
-        covered=best.covered,
-        uncovered=best.uncovered,
-        trace=tuple(trace),
-    )
+    return replace(best, trace=tuple(trace))
 
 
 # -- verification -----------------------------------------------------------------

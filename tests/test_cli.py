@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from rcover.cli import main
 from rcover.formats import load_instance
 
@@ -224,3 +226,28 @@ def test_sweep_threads_must_be_a_positive_integer(tmp_path):
     for value in ("0", "x"):
         _assert_one_line_error(*_cli(*base, env_extra={"RCOVER_THREADS": value}))
 
+
+
+CLASSES = [[0, 1], [2, 3], [4, 5]]
+
+
+@pytest.mark.parametrize(
+    "partition, flags",
+    [
+        ({}, None),
+        ({"classes": 3}, None),
+        (CLASSES, None),
+        ({"classes": CLASSES, "bip": {"0,1": 5}}, None),
+        ({"classes": CLASSES}, {"regular": 1}),
+    ],
+)
+def test_reduce_malformed_documents_are_one_line(tmp_path, partition, flags):
+    inst = tmp_path / "i.h3bits"
+    main(["gen", "--model", "mono", "--color", "R", "--n", "6", "--out", str(inst)])
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(partition))
+    args = ["reduce", "--input", str(inst), "--partition", str(part), "--out", str(tmp_path / "r.h3json")]
+    if flags is not None:
+        (tmp_path / "flags.json").write_text(json.dumps(flags))
+        args += ["--regular-flags", str(tmp_path / "flags.json")]
+    _assert_one_line_error(*_cli(*args))

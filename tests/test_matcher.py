@@ -17,11 +17,7 @@ from rcover.core import (
     decode_edges,
     pair_component,
 )
-from rcover.errors import (
-    BranchInapplicableError,
-    CleanupExhaustedError,
-    GoodEdgeUndefinedError,
-)
+from rcover.errors import BranchInapplicableError, CleanupExhaustedError
 from rcover.generators import (
     monochromatic_instance,
     planted_partition_instance,
@@ -29,13 +25,13 @@ from rcover.generators import (
 )
 from rcover.matcher import (
     CoverResult,
-    Params,
+    _good,
     build_matching,
     check_clean_properties,
     clean,
     cover,
+    delta_of,
     dissolve_matching,
-    is_good_edge,
     local_search_matching,
     mono_connecting_path,
     partition_vertices,
@@ -43,44 +39,24 @@ from rcover.matcher import (
     residual_component,
     verify_cover,
 )
-from rcover.oracle import oracle_matching_cover, oracle_perfect_matching
+from rcover.oracle import _component_masks, oracle_matching_cover, oracle_perfect_matching
 
 from conftest import random_coloring, random_hypergraph
 
-GAMMA_DESK = 1e-3  # delta > 1: thresholds vacuous, cleanup is a no-op on dense hosts
+GAMMA_DESK = 1e-3  # delta > 1: cleanup is a no-op on dense hosts, early exit always
 GAMMA_THIRD = (1 / 30) ** 6  # delta = 1/3
 
 
-# -- Params ------------------------------------------------------------------
+# -- delta ---------------------------------------------------------------------
 
 
-def test_params_delta_identity():
+def test_delta_of():
     for gamma in (1e-3, 1e-6, 0.5, 1e-12):
-        p = Params.from_gamma(gamma)
-        assert abs(p.delta - 10 * gamma ** (1 / 6)) < 1e-12
-        assert abs(p.coverage_bound - 29 * p.delta) < 1e-12
-        assert p.eta_pm == pytest.approx(5 / 36)
-
-
-def test_params_thresholds():
-    p = Params.from_gamma(1e-6)  # delta = 1
-    th = p.thresholds(10)
-    assert th["six_delta_t"] == pytest.approx(60.0)
-    assert th["two_delta_t"] == pytest.approx(20.0)
-    assert th["eight_delta_t"] == pytest.approx(80.0)
-    assert th["twelve_delta_t"] == pytest.approx(120.0)
-    assert th["three_delta_t_plus_2"] == pytest.approx(32.0)
-    assert "six_delta_t_dissolve" not in th  # it always equalled six_delta_t
-    assert all(v >= 0 for v in th.values())
-    assert p.vacuous(10)
-    tiny = Params.from_gamma(1e-30)
-    assert not tiny.vacuous(10_000)
-
-
-def test_params_gamma_validation():
+        assert abs(delta_of(gamma) - 10 * gamma ** (1 / 6)) < 1e-12
+    assert delta_of(1e-6) == pytest.approx(1.0)
     for bad in (0.0, 1.0, -1e-3, 2.0):
         with pytest.raises(ValueError):
-            Params.from_gamma(bad)
+            delta_of(bad)
 
 
 # -- clean -------------------------------------------------------------------
@@ -159,7 +135,7 @@ def test_clean_fixpoint_random_near_complete(rng):
 
 def test_partition_all_red():
     col = monochromatic_instance(8, Color.RED)
-    part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(col.host, col)
     assert part.blue_side == ()
     assert part.red_side == tuple(range(8))
     assert part.major_red is not None and part.major_blue is None
@@ -174,7 +150,7 @@ def test_partition_vertex_sign_example():
     inner = set(range(5))
     red = [t for t in host.edges if set(t) <= inner]
     col = Coloring(host, red)
-    part = partition_vertices(host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(host, col)
     assert part.blue_side == tuple(range(10))
     assert part.red_side == ()
     assert part.major_blue is not None and part.major_red is None
@@ -191,7 +167,7 @@ def test_partition_tie_prefers_red():
     # vertex 6 sees nothing and defaults to the red side with no component
     h = Hypergraph3(7, [(0, 1, 2), (3, 4, 5)])
     col = Coloring(h, [(0, 1, 2)])
-    part = partition_vertices(h, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(h, col)
     assert set(part.red_side) == {0, 1, 2, 6}
     assert set(part.blue_side) == {3, 4, 5}
     assert part.chosen[6] is None
@@ -203,7 +179,7 @@ def test_partition_components_match_a_fresh_pair_search(rng):
     cols = [planted_partition_instance(15, [6, 5, 2]), uniform_instance(9, 0.9, 4)]
     cols += [random_coloring(random_hypergraph(12, 0.15, rng), rng) for _ in range(4)]
     for col in cols:
-        part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
+        part = partition_vertices(col.host, col)
         expected = {}
         for color in (Color.RED, Color.BLUE):
             sub = col.subhypergraph(color)
@@ -216,17 +192,6 @@ def test_partition_components_match_a_fresh_pair_search(rng):
             for cid, info in part.components.items()
         }
         assert list(got.items()) == list(expected.items())  # same order too
-
-
-def test_partition_hypotheses_logged():
-    col = uniform_instance(8, 0.5, 3)
-    part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
-    assert set(part.hypotheses) == {
-        "red_side_large",
-        "blue_side_large",
-        "red_outliers_small",
-        "blue_outliers_small",
-    }
 
 
 # -- good edges -------------------------------------------------------------------
@@ -246,23 +211,17 @@ def _two_sided_instance():
 
 def test_good_edge_witness():
     host, col = _two_sided_instance()
-    part = partition_vertices(host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(host, col)
     assert part.major_red and part.major_blue
+    red, blue = part.major(Color.RED).shadow, part.major(Color.BLUE).shadow
     # {0,1,6}: pair (0,1) only in the red shadow, pair (0,6) in the blue shadow
-    assert is_good_edge(host, col, part, (0, 1, 6))
+    assert _good(red, blue, (0, 1, 6))
     # {0,1,2}: all pairs inside {0..4}; pairs are in the red shadow, and any
     # pair with a single inner vertex is also in the blue shadow -> good needs
     # checking, but (0,1),(0,2),(1,2) have no blue edge: any blue edge through
     # them would need two more outer vertices, making a 1-inner triple -> blue
     # shadow only contains pairs with at most one inner vertex
-    assert not is_good_edge(host, col, part, (0, 1, 2))
-
-
-def test_good_edge_requires_both_majors():
-    col = monochromatic_instance(6, Color.RED)
-    part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
-    with pytest.raises(GoodEdgeUndefinedError):
-        is_good_edge(col.host, col, part, (0, 1, 2))
+    assert not _good(red, blue, (0, 1, 2))
 
 
 # -- local search ------------------------------------------------------------------
@@ -270,7 +229,7 @@ def test_good_edge_requires_both_majors():
 
 def test_local_search_all_red_k6_perfect():
     col = monochromatic_instance(6, Color.RED)
-    part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(col.host, col)
     red_m, blue_m, _ = local_search_matching(col.host, col, part)
     assert red_m.edges == ((0, 1, 2), (3, 4, 5))
     assert blue_m.edges == ()
@@ -278,7 +237,7 @@ def test_local_search_all_red_k6_perfect():
 
 def test_local_search_all_red_k7_leaves_one():
     col = monochromatic_instance(7, Color.RED)
-    part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(col.host, col)
     red_m, blue_m, _ = local_search_matching(col.host, col, part)
     assert red_m.covered() == 6 and blue_m.covered() == 0
 
@@ -298,8 +257,7 @@ def test_local_search_two_for_three_move_fires():
     blue_edges = [(1, 2, 7), (4, 5, 8), (2, 7, 8), (4, 7, 8)]
     h = Hypergraph3(9, red_edges + blue_edges)
     col = Coloring(h, red_edges)
-    params = Params.from_gamma(GAMMA_DESK)
-    part = partition_vertices(h, col, params)
+    part = partition_vertices(h, col)
     red_m, blue_m, moves = local_search_matching(h, col, part)
     kinds = [m["detail"]["kind"] for m in moves]
     assert kinds == ["greedy-add", "greedy-add", "two-for-three"]
@@ -376,8 +334,7 @@ def test_residual_component_all_blue_nine():
     # greedy covers {0,1,13},{2,3,14}; the residual core {4..12} is an
     # all-blue complete K9: the whole thing comes back untrimmed
     host, col = _bridge_instance(15, 2)
-    params = Params.from_gamma(GAMMA_DESK)
-    part = partition_vertices(host, col, params)
+    part = partition_vertices(host, col)
     red_m, blue_m, _ = local_search_matching(host, col, part)
     assert red_m.vertex_set() == {0, 1, 2, 3, 13, 14}
     b, trimmed, info = residual_component(host, col, part, red_m, blue_m)
@@ -388,8 +345,7 @@ def test_residual_component_all_blue_nine():
 
 def test_residual_component_trims_largest_id():
     host, col = _bridge_instance(16, 2)  # residual core {4..13}: 10 vertices
-    params = Params.from_gamma(GAMMA_DESK)
-    part = partition_vertices(host, col, params)
+    part = partition_vertices(host, col)
     red_m, blue_m, _ = local_search_matching(host, col, part)
     b, trimmed, _ = residual_component(host, col, part, red_m, blue_m)
     assert trimmed == (13,)
@@ -403,8 +359,7 @@ def test_residual_component_picks_anchor_component():
     host = Hypergraph3.complete(13)
     blue = [t for t in host.edges if set(t) <= {4, 5, 6} or set(t) <= {8, 9, 10}]
     col = Coloring(host, [t for t in host.edges if t not in set(blue)])
-    params = Params.from_gamma(GAMMA_DESK)
-    part = partition_vertices(host, col, params)
+    part = partition_vertices(host, col)
     red_m = build_matching(col, Color.RED, [(0, 1, 2), (3, 7, 11)], part.major_red)
     blue_m = build_matching(col, Color.BLUE, [], None)
     b, trimmed, info = residual_component(host, col, part, red_m, blue_m)
@@ -415,8 +370,7 @@ def test_residual_component_picks_anchor_component():
 
 def test_residual_component_no_blue_edge_errors():
     col = monochromatic_instance(9, Color.RED)
-    params = Params.from_gamma(GAMMA_DESK)
-    part = partition_vertices(col.host, col, params)
+    part = partition_vertices(col.host, col)
     red_m = build_matching(col, Color.RED, [(0, 1, 2)], part.major_red)
     blue_m = build_matching(col, Color.BLUE, [], None)
     with pytest.raises(BranchInapplicableError):
@@ -430,11 +384,6 @@ def test_perfect_matching_complete_k6():
     pm = perfect_matching_dense(Hypergraph3.complete(6))
     assert pm.perfect
     assert pm.matching == ((0, 1, 2), (3, 4, 5))
-    # the asymptotic degree hypothesis genuinely fails at n=6: each vertex is
-    # in C(5,2)=10 edges but the bound asks for 25/36 * C(6,2) > 10 -- the
-    # perfect matching exists anyway, which is the point of logging-not-gating
-    assert not pm.degree_condition_met
-    assert perfect_matching_dense(Hypergraph3.complete(9)).degree_condition_met
 
 
 def test_perfect_matching_absent():
@@ -452,17 +401,21 @@ def test_perfect_matching_precondition():
 
 
 def test_perfect_matching_agrees_with_oracle(rng):
-    for trial in range(100):
-        edges = [t for t in combinations(range(12), 3) if rng.random() < 0.8]
-        h = Hypergraph3(12, edges)
-        pm = perfect_matching_dense(h)
-        assert pm.perfect == oracle_perfect_matching(h)
-        if pm.perfect:
+    # at densities 0.1 and 0.3 perfect matchings are often absent, so the
+    # size of the maximum matching is checked against an exhaustive count
+    for density in (0.1, 0.3, 0.8):
+        for trial in range(100):
+            edges = [t for t in combinations(range(12), 3) if rng.random() < density]
+            h = Hypergraph3(12, edges)
+            pm = perfect_matching_dense(h)
+            assert pm.perfect == oracle_perfect_matching(h)
+            masks, _ = _component_masks(h.edges)
+            assert 3 * len(pm.matching) == max(m.bit_count() for m in masks)
             covered = set()
             for e in pm.matching:
                 assert not covered & set(e)
                 covered.update(e)
-            assert covered == set(range(12))
+            assert sorted(set(range(12)) - covered) == list(pm.uncovered)
 
 
 # -- dissolution ---------------------------------------------------------------------
@@ -470,7 +423,7 @@ def test_perfect_matching_agrees_with_oracle(rng):
 
 def test_dissolve_empty():
     col = uniform_instance(6, 0.5, 0)
-    part = partition_vertices(col.host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(col.host, col)
     assert dissolve_matching(col.host, col, part, []) == ((), ())
 
 
@@ -479,7 +432,7 @@ def test_dissolve_single_edge_leftovers():
     # edge, which cannot be major-colored -> everything is left over
     host = Hypergraph3.complete(6)
     col = Coloring(host, [t for t in host.edges if t != (0, 1, 2)])
-    part = partition_vertices(host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(host, col)
     matched, leftovers = dissolve_matching(host, col, part, [(0, 1, 2)])
     assert matched == ()
     assert leftovers == (0, 1, 2)
@@ -488,7 +441,7 @@ def test_dissolve_single_edge_leftovers():
 def test_dissolve_two_edges_rematch():
     host = Hypergraph3.complete(9)
     col = Coloring(host, [t for t in host.edges if t not in {(0, 1, 2), (3, 4, 5)}])
-    part = partition_vertices(host, col, Params.from_gamma(GAMMA_DESK))
+    part = partition_vertices(host, col)
     matched, leftovers = dissolve_matching(host, col, part, [(0, 1, 2), (3, 4, 5)])
     assert matched == ((2, 3, 4), (0, 1, 5))
     assert leftovers == ()
@@ -498,8 +451,7 @@ def test_dissolve_two_edges_rematch():
 
 def test_dissolve_requires_core_membership():
     host, col = _bridge_instance(15, 2)  # blue side is empty, red core is V
-    params = Params.from_gamma(GAMMA_DESK)
-    part = partition_vertices(host, col, params)
+    part = partition_vertices(host, col)
     # a blue edge inside the core dissolves only if rematchable; an edge
     # outside the core must raise
     part_small = replace(part, red_core=(0, 1, 2))
@@ -595,12 +547,35 @@ def test_cover_early_exit_logged_at_desk_scale():
     assert any(ev["stage"] == "early-exit" for ev in res.trace)
 
 
-def test_cover_structural_claims_logged():
-    col = uniform_instance(8, 0.5, 7)
-    res = cover(col.host, col, GAMMA_DESK)
-    claims = [ev for ev in res.trace if ev["stage"] == "claims"]
-    assert len(claims) == 1
-    assert claims[0]["detail"]["vacuous"] is True  # delta > 1 here
+TRACE_KEYS = {  # the vocabulary documented in rcover.formats
+    "clean": {"t_before", "t_after", "deleted", "rounds", "deactivated_pairs", "bound_held"},
+    "partition": {"red_side", "blue_side", "major_red", "major_blue", "red_core", "blue_core"},
+    "move": {"kind", "removed", "added", "covered"},
+    "early-exit": {"residual_red", "residual_blue", "twelve_delta_t"},
+    "branch": {"minor", "residual", "pm_perfect", "pm_size", "rematched",
+               "dissolve_leftovers", "error", "invalid"},
+    "select": {"candidates", "covered"},
+}
+
+
+def test_cover_trace_uses_the_documented_vocabulary():
+    import rcover.formats
+
+    rng = random.Random(0)
+    sparse = random_coloring(random_hypergraph(36, 0.2, rng), rng)  # fires one-for-two
+    _, strand, strand_gamma = _stranded_clique()
+    runs = [(uniform_instance(12, 0.5, 3), GAMMA_DESK), (sparse, GAMMA_DESK), (strand, strand_gamma)]
+    seen = set()
+    for col, gamma in runs:
+        trace = cover(col.host, col, gamma).trace
+        stages = [ev["stage"] for ev in trace]
+        assert stages[:2] == ["clean", "partition"]
+        assert stages.count("clean") == stages.count("partition") == 1
+        for ev in trace:
+            assert ev["detail"].keys() <= TRACE_KEYS[ev["stage"]], ev
+            seen.add(ev["detail"].get("kind", ev["stage"]))
+    assert {"one-for-two", "early-exit", "branch", "select"} <= seen
+    assert all(f"``{stage}``" in rcover.formats.__doc__ for stage in TRACE_KEYS)
 
 
 # -- verify_cover diagnostics -----------------------------------------------------------
