@@ -50,10 +50,13 @@ GAMMA_THIRD = (1 / 30) ** 6  # delta = 1/3
 # -- delta ---------------------------------------------------------------------
 
 
-def test_delta_of():
+def test_params_delta_identity():
     for gamma in (1e-3, 1e-6, 0.5, 1e-12):
         assert abs(delta_of(gamma) - 10 * gamma ** (1 / 6)) < 1e-12
     assert delta_of(1e-6) == pytest.approx(1.0)
+
+
+def test_params_gamma_validation():
     for bad in (0.0, 1.0, -1e-3, 2.0):
         with pytest.raises(ValueError):
             delta_of(bad)
