@@ -219,6 +219,9 @@ def cmd_reduce(args) -> int:
     if not isinstance(part_doc, dict) or not isinstance(part_doc.get("bip", {}), dict):
         raise FormatError('partition must be a JSON object {"classes": [..], "bip": {..}}')
     classes = int_rows(part_doc.get("classes"), None, "class")
+    outside = sorted({v for c in classes for v in c} - h.vertices)
+    if outside:
+        raise FormatError(f"class vertices {outside} are not vertices of the host")
     bip = {}
     for key, pairs in part_doc.get("bip", {}).items():
         i, j = (int(x) for x in key.split(","))

@@ -6,9 +6,11 @@ Every edge set -- a host's edges, a coloring's red class -- is one integer
 whose bit i is set iff the triple of colex index i is present; the same
 integer is the payload of the ``h3bits`` file format.  Triples are decoded
 from the set bits on demand and come out in colex order.  The link of a
-pair is a bitmask over vertex ids, read lazily off the edge bits: a host
-complete on its vertex set needs no edge pass, and a coloring's blue links
-are the host's links XOR the red ones.
+pair is a bitmask over vertex ids.  Each host keeps one flat link table,
+``links()[x * n + y]``, filled in both orders with a zero diagonal and read
+lazily off the edge bits: a host complete on its vertex set needs no edge
+pass, and a coloring's blue table is the host's XOR the red one.  Every
+shadow, component and path query indexes that table.
 """
 
 from __future__ import annotations
@@ -69,13 +71,6 @@ def colex_inverse(index: int) -> Triple:
 def triple_mask(t: Triple) -> int:
     a, b, c = t
     return (1 << a) | (1 << b) | (1 << c)
-
-
-def pair_key(x: int, y: int) -> Pair:
-    """Unordered pair as a (min, max) key."""
-    if x == y:
-        raise InvalidPairError(f"pair needs two distinct vertices, got ({x}, {y})")
-    return (x, y) if x < y else (y, x)
 
 
 def tight_adjacent(e: Triple, f: Triple) -> bool:
@@ -158,12 +153,13 @@ class Hypergraph3:
     ``vertices`` defaults to all of range(n); induced subhypergraphs keep the
     original vertex labels and simply restrict the vertex set.  The state is
     ``n``, the vertex bitmask ``vertex_mask`` and the colex edge bitmask
-    ``edge_bits``; ``edges`` decodes the latter on demand.  Pair links are
-    built lazily and cached; instances are safe to share across threads once
-    constructed.
+    ``edge_bits``; ``edges`` decodes the latter on demand.  The link table
+    ``links()`` is a flat list of n * n masks, ``links()[x * n + y]`` the
+    link of the pair xy in either order, built lazily and cached; instances
+    are safe to share across threads once constructed.
     """
 
-    __slots__ = ("n", "vertex_mask", "edge_bits", "_pair_links")
+    __slots__ = ("n", "vertex_mask", "edge_bits", "_links")
 
     def __init__(self, n: int, edges, vertices=None):
         if n < 0:
@@ -181,7 +177,7 @@ class Hypergraph3:
         self.n = n
         self.edge_bits = edge_bits
         self.vertex_mask = vertex_mask
-        self._pair_links = None
+        self._links = None
 
     # -- constructors ------------------------------------------------------
 
@@ -229,37 +225,56 @@ class Hypergraph3:
         a, b, c = t
         return 0 <= a < b < c and bool(self.edge_bits >> colex_index(t) & 1)
 
-    def pair_links(self) -> dict[Pair, int]:
-        """Link bitmask of every shadow pair (x, y), x < y; built once.
+    def links(self) -> list[int]:
+        """Flat link table: ``links[x * n + y]`` is the link mask of xy; built once.
 
-        On a host complete on its vertex set, link(x, y) is the vertex mask
-        minus x and y.  Otherwise each slice of ``colex_slices`` is ORed whole
-        into the link of bc; only the pairs ab and ac take one bit per edge.
+        Both orders are filled and the diagonal is 0.  On a host complete on
+        its vertex set, link(x, y) is the vertex mask minus x and y: one
+        template row, with x cleared, per vertex x.  Otherwise each slice of
+        ``colex_slices`` is ORed whole into the link of bc, the pairs ab and
+        ac take one bit per edge, and the upper triangle is mirrored.
         """
-        links = self._pair_links
+        links = self._links
         if links is None:
             n, vmask, bits = self.n, self.vertex_mask, self.edge_bits
             if bits and bits == within_mask(vmask):
-                pairs = combinations(mask_bits(vmask), 2)
-                links = {(x, y): vmask & ~((1 << x) | (1 << y)) for x, y in pairs}
+                row = [vmask & ~(1 << y) if vmask >> y & 1 else 0 for y in range(n)]
+                links = []
+                for x in range(n):
+                    links += [m & ~(1 << x) for m in row] if vmask >> x & 1 else [0] * n
+                    links[x * n + x] = 0
             else:
-                flat = [0] * (n * n)  # flat[x * n + y]: link of the pair xy, x < y
+                links = [0] * (n * n)
                 for b, c, part in colex_slices(bits):
-                    flat[b * n + c] |= part
+                    links[b * n + c] |= part
                     bbit, cbit = 1 << b, 1 << c
                     while part:
                         low = part & -part
                         part ^= low
                         a = low.bit_length() - 1
-                        flat[a * n + b] |= cbit
-                        flat[a * n + c] |= bbit
-                links = {divmod(i, n): m for i, m in enumerate(flat) if m}
-            self._pair_links = links
+                        links[a * n + b] |= cbit
+                        links[a * n + c] |= bbit
+                for x in range(n - 1):
+                    links[(x + 1) * n + x :: n] = links[x * n + x + 1 : (x + 1) * n]
+            self._links = links
         return links
+
+    def shadow_pairs(self) -> list[Pair]:
+        """Pairs (x, y), x < y, with a nonempty link, in ascending order."""
+        links, n = self.links(), self.n
+        return [(x, y) for x in mask_bits(self.vertex_mask) for y in range(x + 1, n) if links[x * n + y]]
+
+    def pair_links(self) -> dict[Pair, int]:
+        """Link mask of every shadow pair (x, y), x < y: a dict view of ``links()``."""
+        links, n = self.links(), self.n
+        return {(x, y): links[x * n + y] for x, y in self.shadow_pairs()}
 
     def link_mask(self, x: int, y: int) -> int:
         """Bitmask of the link N(x, y); 0 when the pair is inactive."""
-        return self.pair_links().get(pair_key(x, y), 0)
+        if x == y:
+            raise InvalidPairError(f"pair needs two distinct vertices, got ({x}, {y})")
+        n = self.n
+        return self.links()[x * n + y] if 0 <= x < n and 0 <= y < n else 0
 
     def link(self, x: int, y: int) -> set[int]:
         """N(x, y) = { z : {x,y,z} is an edge }."""
@@ -267,23 +282,13 @@ class Hypergraph3:
 
     def shadow(self) -> set[Pair]:
         """All pairs contained in at least one edge."""
-        return set(self.pair_links())
-
-    def active_pairs(self) -> set[Pair]:
-        """A pair is active iff its link is nonempty; identical to shadow()."""
-        return self.shadow()
+        return set(self.shadow_pairs())
 
     def neighbor_mask(self, x: int) -> int:
-        """Bitmask of N(x) = { y : xy is in the shadow }."""
-        out = 0
-        for (a, b), m in self.pair_links().items():
-            if a == x:
-                out |= 1 << b
-            elif b == x:
-                out |= 1 << a
-            elif (m >> x) & 1:
-                out |= (1 << a) | (1 << b)
-        return out
+        """Bitmask of N(x) = { y : xy is in the shadow }: the nonzero entries of row x."""
+        n = self.n
+        row = self.links()[x * n : (x + 1) * n] if 0 <= x < n else ()
+        return sum(1 << y for y, m in enumerate(row) if m)
 
     def __repr__(self) -> str:
         return f"Hypergraph3(n={self.n}, t={self.t}, edges={self.edge_count})"
@@ -299,11 +304,11 @@ def pair_component(h: Hypergraph3, x: int, y: int) -> tuple[list[Pair], dict[int
     reaches the pairs xz and yz.  Also returns, per vertex, the mask of its
     partners in those pairs (its neighbor mask inside the component).
     """
-    links = h.pair_links()
+    links, n = h.links(), h.n
     pairs = [(x, y)]
     partners = {x: 1 << y, y: 1 << x}
     for x, y in pairs:  # the list grows while it is scanned
-        link = links[x, y]
+        link = links[x * n + y]
         for u in (x, y):
             new = link & ~partners[u]
             if new:
@@ -314,26 +319,28 @@ def pair_component(h: Hypergraph3, x: int, y: int) -> tuple[list[Pair], dict[int
     return pairs, partners
 
 
-def shadow_components(h: Hypergraph3) -> list[tuple[int, list[Pair], dict[int, int]]]:
-    """Pseudo-path components as (edge bits, shadow pairs, partner masks).
+def shadow_components(h: Hypergraph3) -> list[tuple[int, dict[int, int]]]:
+    """Pseudo-path components as (edge bits, partner masks).
 
-    One ``pair_component`` search per component, sorted by first edge.  With
-    two or more, each colex slice goes whole to the component of its pair bc.
+    One ``pair_component`` search per component, started at the first
+    unlabelled shadow pair, sorted by first edge.  A component's shadow is
+    the pairs xy with y in its partner mask of x.  With two or more, each
+    colex slice goes whole to the component of its pair bc.
     """
     label: dict[Pair, int] = {}
     found = []
-    for p in h.pair_links():
+    for p in h.shadow_pairs():
         if p not in label:
             pairs, partners = pair_component(h, *p)
             for q in pairs:
                 label[q] = len(found)
-            found.append((pairs, partners))
+            found.append(partners)
     if len(found) < 2:
-        return [(h.edge_bits, *f) for f in found]
+        return [(h.edge_bits, f) for f in found]
     bits = [0] * len(found)
     for b, c, part in colex_slices(h.edge_bits):
         bits[label[b, c]] |= part << (comb(c, 3) + comb(b, 2))
-    return sorted(((m, *f) for m, f in zip(bits, found)), key=lambda comp: comp[0] & -comp[0])
+    return sorted(zip(bits, found), key=lambda comp: comp[0] & -comp[0])
 
 
 def connected_components(h: Hypergraph3) -> tuple[tuple[Triple, ...], ...]:
@@ -344,7 +351,7 @@ def connected_components(h: Hypergraph3) -> tuple[tuple[Triple, ...], ...]:
     shadow pairs lie in one ``pair_component``.  Components are returned
     with edges in colex order, sorted by their first edge.
     """
-    return tuple(decode_edges(bits) for bits, _, _ in shadow_components(h))
+    return tuple(decode_edges(bits) for bits, _ in shadow_components(h))
 
 
 @dataclass(frozen=True)
@@ -398,10 +405,10 @@ def connecting_path(h: Hypergraph3, e: Triple, f: Triple) -> PseudoPath | None:
         raise NotAnEdgeError(f"{f} is not an edge of the host")
     if e == f:
         return PseudoPath((e,))
-    links = h.pair_links()
+    links, n = h.links(), h.n
 
     def through(pairs) -> set[Triple]:  # the edges through any of the pairs
-        return {canon_triple(x, y, z) for x, y in pairs for z in mask_bits(links[x, y])}
+        return {canon_triple(x, y, z) for x, y in pairs for z in mask_bits(links[x * n + y])}
     near = through(combinations(f, 2))  # f and its neighbors
     if e in near:
         return PseudoPath((e, f))
@@ -491,9 +498,8 @@ class Coloring:
             bits = self.red_bits if color is Color.RED else self.blue_bits
             sub = Hypergraph3.from_bits(self.host.n, bits, self.host.vertex_mask)
             if color is Color.BLUE:
-                red = self.subhypergraph(Color.RED).pair_links()
-                host = self.host.pair_links()
-                sub._pair_links = {p: m for p, hm in host.items() if (m := hm ^ red.get(p, 0))}
+                red = self.subhypergraph(Color.RED).links()
+                sub._links = [h ^ r for h, r in zip(self.host.links(), red)]
             self._subs[color] = sub
         return sub
 

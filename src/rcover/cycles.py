@@ -11,7 +11,7 @@ monochromatic tight cycles of distinct colors with parity control.  It
 enumerates candidate covers in decreasing total size, so a found pair
 leaves the minimum possible number of vertices uncovered.  Supports are
 memoised per call: each (color, support) is tested for a tight Hamilton
-cycle at most once per search, against a flat per-call link table.
+cycle at most once per search, against the color's cached link table.
 """
 
 from __future__ import annotations
@@ -233,14 +233,6 @@ def _tight_hamilton(
     return None
 
 
-def _link_table(col: Coloring, color: Color, n: int) -> list[int]:
-    """Link masks of one color as a flat list indexed by ``x * n + y``."""
-    table = [0] * (n * n)
-    for (x, y), mask in col.subhypergraph(color).pair_links().items():
-        table[x * n + y] = table[y * n + x] = mask
-    return table
-
-
 def search_cycle_pair(
     h: Hypergraph3,
     col: Coloring,
@@ -267,16 +259,16 @@ def search_cycle_pair(
         raise ValueError(f"max_uncovered must be non-negative, got {max_uncovered}")
     vertices = sorted(h.vertices)
     deadline = _Deadline(budget_ms)
-    # per color, local to this call: the flat link table, and a memo from
+    # per color: the cached link table, and a memo local to this call from
     # support (an ascending tuple, as combinations yields it) to its
     # TightCycle or None
-    links = {c: _link_table(col, c, h.n) for c in Color}
+    links = {c: col.subhypergraph(c).links() for c in Color}
     memo: dict[Color, dict[tuple[int, ...], TightCycle | None]] = {c: {} for c in Color}
 
     def cycle_on(support: tuple[int, ...], color: Color) -> TightCycle | None:
         seen = memo[color]
         if support not in seen:
-            found = _tight_hamilton(support, links[color], h.n, deadline)
+            found = _tight_hamilton(support, links[color], col.host.n, deadline)
             seen[support] = None if found is None else TightCycle(found)
         return seen[support]
 

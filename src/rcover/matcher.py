@@ -48,7 +48,6 @@ from .core import (
     edge_neighbors,
     index_mask,
     mask_bits,
-    pair_key,
     shadow_components,
     triple_mask,
     within_mask,
@@ -110,19 +109,18 @@ def clean(h: Hypergraph3, gamma: float) -> tuple[Hypergraph3, CleanReport]:
         if t == 0:
             break
         threshold = ceil((1.0 - delta) * t)
-        links = k.pair_links()
-        bad = [p for p, m in links.items() if m.bit_count() < threshold]
+        links = k.links()
+        bad = [(x, y) for x, y in k.shadow_pairs() if links[x * n + y].bit_count() < threshold]
         if bad:
             deactivated += len(bad)
             drop = index_mask(
-                (colex_index(canon_triple(x, y, z)) for x, y in bad for z in mask_bits(links[x, y])),
+                (colex_index(canon_triple(x, y, z)) for x, y in bad for z in mask_bits(links[x * n + y])),
                 comb(n, 3),
             )
             k = Hypergraph3.from_bits(n, k.edge_bits & ~drop, k.vertex_mask)
-            links = k.pair_links()
-        support = 0
-        for x, y in links:
-            support |= (1 << x) | (1 << y)
+        support = 0  # the vertices in an edge: the union of all links
+        for m in k.links():
+            support |= m
         if support != k.vertex_mask:
             k = Hypergraph3.from_bits(n, k.edge_bits, support)
         elif not bad:
@@ -146,13 +144,13 @@ def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str
     delta = delta_of(gamma)
     problems = []
     in_pair = set()
-    for pair in k.active_pairs():
+    for pair in k.shadow_pairs():
         in_pair.update(pair)
         in_pair.update(k.link(*pair))
     for v in sorted(k.vertices - in_pair):
         problems.append(f"vertex {v} lies in no active pair")
     bound = (1.0 - delta) * k.t
-    for x, y in sorted(k.active_pairs()):
+    for x, y in k.shadow_pairs():
         size = len(k.link(x, y))
         if size < bound:
             problems.append(f"active pair ({x},{y}) has link {size} < {bound:.3f}")
@@ -164,13 +162,19 @@ def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str
 
 @dataclass(frozen=True)
 class ComponentInfo:
-    """One monochromatic component: its colex edge mask, shadow and neighbor masks."""
+    """One monochromatic component: its colex edge mask and neighbor masks.
+
+    ``neighbor_masks[x]`` is the mask of the partners of x in the
+    component's shadow, so xy is a shadow pair iff y is in it.
+    """
 
     cid: str
     color: Color
     edge_bits: int
-    shadow: frozenset[tuple[int, int]]
     neighbor_masks: dict[int, int]
+
+    def in_shadow(self, x: int, y: int) -> bool:
+        return self.neighbor_masks.get(x, 0) >> y & 1 == 1
 
 
 @dataclass
@@ -211,9 +215,9 @@ def partition_vertices(k: Hypergraph3, col: Coloring) -> ColorPartition:
     """
     comps: list[ComponentInfo] = []
     for color in (Color.RED, Color.BLUE):
-        for bits, pairs, partners in shadow_components(col.subhypergraph(color)):
+        for bits, partners in shadow_components(col.subhypergraph(color)):
             cid = f"{color.value}:{(bits & -bits).bit_length() - 1}"
-            comps.append(ComponentInfo(cid, color, bits, frozenset(pairs), partners))
+            comps.append(ComponentInfo(cid, color, bits, partners))
 
     chosen: dict[int, str | None] = {}
     red_side: list[int] = []
@@ -269,12 +273,12 @@ def partition_vertices(k: Hypergraph3, col: Coloring) -> ColorPartition:
     )
 
 
-def _good(red_shadow, blue_shadow, t: Triple) -> bool:
+def _good(red: ComponentInfo, blue: ComponentInfo, t: Triple) -> bool:
     """One pair of t in the major red shadow, a different pair in the blue one."""
     a, b, c = t
     pairs = ((a, b), (a, c), (b, c))
-    in_r = [p in red_shadow for p in pairs]
-    in_b = [p in blue_shadow for p in pairs]
+    in_r = [red.in_shadow(x, y) for x, y in pairs]
+    in_b = [blue.in_shadow(x, y) for x, y in pairs]
     return (
         (in_r[0] and (in_b[1] or in_b[2]))
         or (in_r[1] and (in_b[0] or in_b[2]))
@@ -419,12 +423,12 @@ def local_search_matching(
     good_ready = red_major is not None and blue_major is not None
 
     def good(t: Triple) -> bool:
-        return _good(red_major.shadow, blue_major.shadow, t)
+        return _good(red_major, blue_major, t)
 
     def matched_home(t: Triple) -> Color:
         color = col.color_of(t)
         info = majors[color]
-        if info is None or (t[0], t[1]) not in info.shadow:
+        if info is None or not info.in_shadow(t[0], t[1]):
             raise RcoverError(f"exchange produced {t} outside its major component")
         return color
 
@@ -485,14 +489,8 @@ def local_search_matching(
                                     for c in mask_bits(cmask):
                                         f3 = canon_triple(u1, u2, c)
                                         info = majors[col.color_of(f3)]
-                                        if info is None:
-                                            continue
-                                        x, y, z = f3
-                                        if (
-                                            (x, y) in info.shadow
-                                            or (x, z) in info.shadow
-                                            or (y, z) in info.shadow
-                                        ):
+                                        # an edge's three pairs lie in one component: one pair decides
+                                        if info is not None and info.in_shadow(f3[0], f3[1]):
                                             return (
                                                 "two-for-three",
                                                 (e1, e2),
@@ -584,11 +582,7 @@ def residual_component(
     anchor = colex_inverse((inside & -inside).bit_length() - 1)  # smallest colex
 
     x = anchor[0]
-    filtered = [
-        v
-        for v in residual
-        if v == x or pair_key(v, x) in major_info.shadow
-    ]
+    filtered = [v for v in residual if v == x or major_info.in_shadow(v, x)]
     if not set(anchor) <= set(filtered):
         raise BranchInapplicableError("anchor edge destroyed by the shadow filter")
 
@@ -724,7 +718,7 @@ def dissolve_matching(
             t = canon_triple(u, v, w)
             if not k.has_edge(t):
                 continue
-            if pair_key(u, w) not in major_info.shadow:
+            if not major_info.in_shadow(u, w):
                 continue
             used.add(w)
             matched.append(t)

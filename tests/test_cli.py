@@ -239,6 +239,8 @@ CLASSES = [[0, 1], [2, 3], [4, 5]]
         (CLASSES, None),
         ({"classes": CLASSES, "bip": {"0,1": 5}}, None),
         ({"classes": CLASSES}, {"regular": 1}),
+        ({"classes": [[0, 1], [2, 3], [4, 100]]}, None),
+        ({"classes": [[0, 1], [2, 3], [-4, 5]]}, None),
     ],
 )
 def test_reduce_malformed_documents_are_one_line(tmp_path, partition, flags):

@@ -93,12 +93,9 @@ def test_link_same_vertex_error():
     h = Hypergraph3.complete(4)
     with pytest.raises(InvalidPairError):
         h.link(2, 2)
-
-
-def test_active_pairs_equals_shadow_random(rng):
-    for _ in range(100):
-        h = random_hypergraph(12, rng.random(), rng)
-        assert h.active_pairs() == h.shadow()
+    # a vertex outside [0, n) has an empty link; a flat index would alias a row
+    assert h.link(0, h.n) == set()
+    assert h.link(-1, 2) == set()
 
 
 def test_link_shadow_symmetry_random(rng):
@@ -122,6 +119,16 @@ def _reference_links(h):
     return links
 
 
+def _assert_flat_links(h, ref):
+    """links() holds ref's mask at x * n + y and y * n + x, and 0 on the diagonal."""
+    n, flat = h.n, h.links()
+    assert len(flat) == n * n
+    for x in range(n):
+        assert flat[x * n + x] == 0
+        for y in range(x + 1, n):
+            assert flat[x * n + y] == flat[y * n + x] == ref.get((x, y), 0)
+
+
 def test_pair_links_match_edge_by_edge_reference(rng):
     complete = [Hypergraph3.complete(n) for n in (0, 2, 3, 4, 9)]
     k12 = Hypergraph3.complete(12)
@@ -131,6 +138,7 @@ def test_pair_links_match_edge_by_edge_reference(rng):
     hosts += [h.induced(range(3, 17)) for h in hosts]
     for h in complete + induced + small + hosts:
         assert h.pair_links() == _reference_links(h)
+        _assert_flat_links(h, _reference_links(h))
 
 
 def test_color_links_match_edge_by_edge_reference(rng):
@@ -144,6 +152,7 @@ def test_color_links_match_edge_by_edge_reference(rng):
         for color in (Color.RED, Color.BLUE):
             sub = col.subhypergraph(color)
             assert sub.pair_links() == _reference_links(sub)
+            _assert_flat_links(sub, _reference_links(sub))
 
 
 # -- storage representations ---------------------------------------------------

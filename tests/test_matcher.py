@@ -15,6 +15,7 @@ from rcover.core import (
     colex_index,
     connected_components,
     decode_edges,
+    mask_bits,
     pair_component,
 )
 from rcover.errors import BranchInapplicableError, CleanupExhaustedError
@@ -88,7 +89,7 @@ def test_clean_k9_minus_pair_fixpoint():
     h = Hypergraph3(9, edges)
     k, report = clean(h, GAMMA_THIRD)
     assert k.t == 9 and k.edge_count == len(edges)
-    assert (0, 1) not in k.active_pairs()
+    assert (0, 1) not in k.shadow()
     ok, problems = check_clean_properties(k, GAMMA_THIRD)
     assert ok, problems
 
@@ -177,8 +178,9 @@ def test_partition_tie_prefers_red():
 
 
 def test_partition_components_match_a_fresh_pair_search(rng):
-    # each component's edges, shadow and neighbor masks are those of
-    # connected_components plus a pair search from its first edge
+    # each component's edges and neighbor masks are those of
+    # connected_components plus a pair search from its first edge, and its
+    # shadow read off the neighbor masks is that search's pair set
     cols = [planted_partition_instance(15, [6, 5, 2]), uniform_instance(9, 0.9, 4)]
     cols += [random_coloring(random_hypergraph(12, 0.15, rng), rng) for _ in range(4)]
     for col in cols:
@@ -189,9 +191,13 @@ def test_partition_components_match_a_fresh_pair_search(rng):
             for comp in connected_components(sub):
                 pairs, masks = pair_component(sub, comp[0][0], comp[0][1])
                 cid = f"{color.value}:{colex_index(comp[0])}"
-                expected[cid] = (comp, frozenset(pairs), masks)
+                expected[cid] = (comp, set(pairs), masks)
         got = {
-            cid: (decode_edges(info.edge_bits), info.shadow, info.neighbor_masks)
+            cid: (
+                decode_edges(info.edge_bits),
+                {(x, y) for x, m in info.neighbor_masks.items() for y in mask_bits(m) if x < y},
+                info.neighbor_masks,
+            )
             for cid, info in part.components.items()
         }
         assert list(got.items()) == list(expected.items())  # same order too
@@ -216,7 +222,7 @@ def test_good_edge_witness():
     host, col = _two_sided_instance()
     part = partition_vertices(host, col)
     assert part.major_red and part.major_blue
-    red, blue = part.major(Color.RED).shadow, part.major(Color.BLUE).shadow
+    red, blue = part.major(Color.RED), part.major(Color.BLUE)
     # {0,1,6}: pair (0,1) only in the red shadow, pair (0,6) in the blue shadow
     assert _good(red, blue, (0, 1, 6))
     # {0,1,2}: all pairs inside {0..4}; pairs are in the red shadow, and any
