@@ -1,25 +1,24 @@
 """Seeded instance generators: complete 2-colored 3-uniform hypergraphs.
 
-All models color the complete host K_n^(3).  Colors are drawn in colex
-order of the triples, one counter per triple, so instances are reproducible
-from (model, n, seed) alone.
+All models color the complete host K_n^(3).  The uniform model gives each
+triple its own counter, its colex index, so instances are reproducible from
+(model, n, seed) alone and triple i has the same color for every n.  The
+draws for all triples are evaluated together in packed lanes
+(``rng.unit_below_mask``); the red mask is bit-identical to testing
+``CounterRng(seed).unit(i) < p`` triple by triple.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .core import Color, Coloring, Hypergraph3, index_mask, within_mask
-from .rng import CounterRng
+from .core import Color, Coloring, Hypergraph3, within_mask
+from .rng import unit_below_mask
 
 
 def uniform_instance(n: int, p: float, seed: int) -> Coloring:
     """Each triple red independently with probability p (draw i = triple i)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    total = comb(n, 3)
-    rng = CounterRng(seed)
-    red = index_mask((i for i in range(total) if rng.unit(i) < p), total)
+    red = unit_below_mask(seed, comb(n, 3), p)
     return Coloring.from_bits(Hypergraph3.complete(n), red)
 
 
