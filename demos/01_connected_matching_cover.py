@@ -14,9 +14,10 @@ from rcover.generators import uniform_instance
 col = uniform_instance(20, 0.5, seed=2024)
 print(f"instance: n=20, {len(col.red)} red / {len(col.blue)} blue triples")
 
-# The pipeline cleans weak pairs, lets every vertex pick its favourite
-# monochromatic component, and grows two disjoint matchings by exchange
-# moves.  gamma controls the cleanup strength via delta = 10 * gamma^(1/6).
+# The pipeline cleans weak pairs, takes each color's largest monochromatic
+# component as its major one, and grows two disjoint matchings of major
+# edges by exchange moves.  gamma controls the cleanup strength via
+# delta = 10 * gamma^(1/6).
 result = cover(col.host, col, gamma=1e-3)
 print(f"covered {result.covered} of 20 vertices")
 print(f"red matching:  {list(result.red.edges)}")
@@ -35,7 +36,7 @@ print("verifier says:", "valid" if ok else diagnostics)
 
 # The pipeline stages and every applied exchange move are on the trace.
 for event in result.trace:
-    if event["stage"] in ("clean", "partition", "early-exit", "select"):
+    if event["stage"] in ("clean", "partition"):
         print(event["stage"], "->", event["detail"])
 
 # At n <= 9 an exhaustive oracle gives the true optimum for comparison.

@@ -22,7 +22,7 @@ class CleanupExhaustedError(RcoverError):
 
 
 class BranchInapplicableError(RcoverError):
-    """A pipeline branch's precondition failed; callers fall back."""
+    """A precondition of ``residual_component`` or ``dissolve_matching`` failed."""
 
 
 class UndefinedDensityError(RcoverError):

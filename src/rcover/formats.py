@@ -20,21 +20,13 @@ part of them so reruns are byte-identical.
 Cover trace
     ``trace`` is a list of ``{"stage", "detail"}`` events.  ``clean`` and
     ``partition`` come first, once each; ``move`` events follow in the order
-    applied; then either one ``early-exit``, or up to two ``branch`` events
-    closed by one ``select``.  The detail keys of each stage:
+    applied.  The detail keys of each stage:
 
     * ``clean``: t_before, t_after, deleted, rounds, deactivated_pairs,
       bound_held;
-    * ``partition``: red_side, blue_side, red_core, blue_core (sizes),
-      major_red, major_blue (component ids or null);
+    * ``partition``: major_red, major_blue (component ids or null);
     * ``move``: kind (greedy-add, one-for-two, two-for-three), removed,
-      added, covered (after the move);
-    * ``early-exit``: residual_red, residual_blue, twelve_delta_t;
-    * ``branch``: minor, plus either residual (anchor, filtered_out,
-      component_size, trimmed), pm_perfect, pm_size, rematched and
-      dissolve_leftovers, or error, or invalid (the failed checks);
-    * ``select``: candidates (covered count of each verified candidate,
-      the local-search cover first), covered.
+      added, covered (after the move).
 """
 
 from __future__ import annotations
@@ -92,7 +84,10 @@ def h3json_loads(text: str) -> tuple[Hypergraph3, Coloring | None]:
     for e in edges:
         if not (e[0] < e[1] < e[2]):
             raise FormatError(f"edge {e} is not an ascending triple")
-    h = Hypergraph3(n, edges)
+    try:
+        h = Hypergraph3(n, edges)
+    except MemoryError:  # the edge mask has C(n, 3) bits
+        raise FormatError(f"n = {n} is too large: its edge mask does not fit in memory") from None
     colors = doc.get("colors")
     if colors is None:
         return h, None

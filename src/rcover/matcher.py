@@ -6,31 +6,27 @@ The pipeline mirrors a constructive covering argument for almost-complete
 1. ``clean``: iteratively delete weak pairs and isolated vertices until every
    active pair of the surviving subhypergraph K has a link of size at least
    (1 - delta) * |V(K)| with delta = 10 * gamma^(1/6).
-2. ``partition_vertices``: every vertex picks the monochromatic component it
-   sees most of (red wins ties); vertex sides R/B, the dominant ("major")
-   component per color, and the aligned vertex cores follow.
+2. ``partition_vertices``: each color's major component is its largest
+   monochromatic component (most vertices, then most edges, then the first
+   in component order); its vertex set is that color's core.
 3. ``local_search_matching``: grow two disjoint matchings inside the major
    components with three exchange moves, each strictly increasing the number
-   of covered vertices: greedy edge addition, one-for-two swaps through good
-   edges, and two-for-three swaps through a fresh linking edge.
-4. Residual branch (only useful when delta is small enough that the residual
-   thresholds bite): extract the opposite-colored component sitting inside
-   the leftover core (``residual_component``), perfectly match it
-   (``perfect_matching_dense``), and dissolve the displaced matching into
-   major-colored triples (``dissolve_matching``).
+   of covered vertices: greedy edge addition, one-for-two swaps and
+   two-for-three swaps.  Every edge a move adds is an edge of a major
+   component.
+4. ``verify_cover`` certifies the result.
 
-``cover`` wires the stages together, attempts both color orientations of the
-residual branch, and returns the best result that passes ``verify_cover``.
-The branch is skipped when both leftover cores are below 12*delta*t: past
-that point the counting argument has nothing left to cover, so the
-local-search result stands.  A leftover core has at most t vertices, so the
-branch can only run when delta <= 1/12 (gamma <= (1/120)^6, about 3e-13);
-every gamma >= 1e-6 gives delta >= 1.
+The covering argument closes with a residual branch that perfectly matches
+an opposite-colored component stranded in a leftover core; its steps are
+kept as ``residual_component``, ``perfect_matching_dense`` and
+``dissolve_matching``.  ``cover`` does not run them: with majors chosen by
+size, local search covers the hosts on which the branch used to fire, and
+the branch's thresholds are vacuous whenever gamma >= 1e-6 (delta >= 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import ceil, comb
 
 from .core import (
@@ -157,7 +153,7 @@ def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str
     return not problems, problems
 
 
-# -- components and the vertex partition --------------------------------------
+# -- components and majors ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,6 @@ class ComponentInfo:
     """
 
     cid: str
-    color: Color
     edge_bits: int
     neighbor_masks: dict[int, int]
 
@@ -177,113 +172,49 @@ class ComponentInfo:
         return self.neighbor_masks.get(x, 0) >> y & 1 == 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColorPartition:
-    """Vertex sides, chosen components, and per-color major components.
+    """Every monochromatic component by id, and each color's major one.
 
-    ``red_side`` holds the vertices whose best-seen component is red (ties
-    prefer red, then the component with the smaller first edge), and
-    ``red_core`` the subset aligned with the most frequent red choice
-    ``major_red``; symmetrically for blue.
+    ``major_red`` and ``major_blue`` are component ids, None for a color
+    with no edge.
     """
 
-    red_side: tuple[int, ...]
-    blue_side: tuple[int, ...]
-    chosen: dict[int, str | None]
     major_red: str | None
     major_blue: str | None
-    red_core: tuple[int, ...]
-    blue_core: tuple[int, ...]
-    components: dict[str, ComponentInfo] = field(default_factory=dict)
+    components: dict[str, ComponentInfo]
 
     def major(self, color: Color) -> ComponentInfo | None:
         cid = self.major_red if color is Color.RED else self.major_blue
         return None if cid is None else self.components[cid]
 
     def core(self, color: Color) -> tuple[int, ...]:
-        return self.red_core if color is Color.RED else self.blue_core
+        """The vertices of the color's major component, ascending."""
+        info = self.major(color)
+        return () if info is None else tuple(sorted(info.neighbor_masks))
 
 
-def partition_vertices(k: Hypergraph3, col: Coloring) -> ColorPartition:
-    """Assign every vertex its best monochromatic component; derive majors.
+def partition_vertices(col: Coloring) -> ColorPartition:
+    """All monochromatic components of the host; each color's largest is its major.
 
-    For each vertex x the chosen component maximizes |N_C(x)| over all
-    monochromatic components C, with ties broken red before blue and then by
-    smaller component id.  The major component of a color is the most
-    frequent choice on that side (ties to the smaller id); the core is the
-    set of vertices aligned with it.
+    Components are listed red first, each color's by first edge.  The major
+    of a color has the most vertices, then the most edges, then comes first
+    in that order.
     """
-    comps: list[ComponentInfo] = []
+    components: dict[str, ComponentInfo] = {}
+    majors: list[str | None] = []
     for color in (Color.RED, Color.BLUE):
-        for bits, partners in shadow_components(col.subhypergraph(color)):
-            cid = f"{color.value}:{(bits & -bits).bit_length() - 1}"
-            comps.append(ComponentInfo(cid, color, bits, partners))
-
-    chosen: dict[int, str | None] = {}
-    red_side: list[int] = []
-    blue_side: list[int] = []
-    for x in sorted(k.vertices):
-        best = None
-        best_size = 0
-        for info in comps:
-            size = info.neighbor_masks.get(x, 0).bit_count()
-            if size > best_size:
-                best = info
-                best_size = size
-        if best is None:
-            # possible only on uncleaned input: no incident edge at all
-            chosen[x] = None
-            red_side.append(x)
-        else:
-            chosen[x] = best.cid
-            (red_side if best.color is Color.RED else blue_side).append(x)
-
-    by_id = {info.cid: info for info in comps}
-
-    def major_of(side: list[int], color: Color) -> str | None:
-        counts: dict[str, int] = {}
-        for x in side:
-            cid = chosen[x]
-            if cid is not None and by_id[cid].color is color:
-                counts[cid] = counts.get(cid, 0) + 1
-        if not counts:
-            return None
-        best_cid = None
-        best_count = -1
-        for info in comps:  # canonical order: red first, then first-edge colex
-            cnt = counts.get(info.cid, 0)
-            if cnt > best_count:
-                best_cid = info.cid
-                best_count = cnt
-        return best_cid
-
-    major_red = major_of(red_side, Color.RED)
-    major_blue = major_of(blue_side, Color.BLUE)
-    red_core = tuple(x for x in red_side if chosen[x] == major_red) if major_red else ()
-    blue_core = tuple(x for x in blue_side if chosen[x] == major_blue) if major_blue else ()
-    return ColorPartition(
-        red_side=tuple(red_side),
-        blue_side=tuple(blue_side),
-        chosen=chosen,
-        major_red=major_red,
-        major_blue=major_blue,
-        red_core=red_core,
-        blue_core=blue_core,
-        components=by_id,
-    )
-
-
-def _good(red: ComponentInfo, blue: ComponentInfo, t: Triple) -> bool:
-    """One pair of t in the major red shadow, a different pair in the blue one."""
-    a, b, c = t
-    pairs = ((a, b), (a, c), (b, c))
-    in_r = [red.in_shadow(x, y) for x, y in pairs]
-    in_b = [blue.in_shadow(x, y) for x, y in pairs]
-    return (
-        (in_r[0] and (in_b[1] or in_b[2]))
-        or (in_r[1] and (in_b[0] or in_b[2]))
-        or (in_r[2] and (in_b[0] or in_b[1]))
-    )
+        infos = [
+            ComponentInfo(f"{color.value}:{(bits & -bits).bit_length() - 1}", bits, partners)
+            for bits, partners in shadow_components(col.subhypergraph(color))
+        ]
+        components.update((info.cid, info) for info in infos)
+        # a component's vertices are its partner keys; max keeps the first of equal keys
+        major = max(
+            infos, key=lambda info: (len(info.neighbor_masks), info.edge_bits.bit_count()), default=None
+        )
+        majors.append(None if major is None else major.cid)
+    return ColorPartition(*majors, components)
 
 
 # -- connected matchings -------------------------------------------------------
@@ -395,42 +326,30 @@ def local_search_matching(
 ) -> tuple[ConnectedMatching, ConnectedMatching, list[dict]]:
     """Exchange-move local search for two disjoint major-component matchings.
 
-    Moves, each strictly increasing the covered-vertex count by three, are
-    tried in order and the first applicable one fires:
+    Every edge a move adds is an edge of a major component.  Moves, each
+    strictly increasing the covered-vertex count by three, are tried in
+    order and the first applicable one fires:
 
-    * greedy-add: the smallest fully-uncovered edge of a major component,
-      the lowest set bit of the two major edge masks restricted to the
-      triples inside the uncovered vertices;
-    * one-for-two: drop one matching edge, add two disjoint good edges
+    * greedy-add: the smallest fully-uncovered major edge, the lowest set
+      bit of the two major edge masks restricted to the triples inside the
+      uncovered vertices;
+    * one-for-two: drop one matching edge, add two disjoint major edges
       whose vertices are otherwise uncovered;
     * two-for-three: drop two edges of one matching, re-cover two of their
-      vertex pairs with good edges through fresh vertices and join the two
-      displaced vertices with a fresh linking edge anchored in the shadow of
-      its color's major component.
+      vertex pairs through fresh vertices and join the two displaced
+      vertices with a fresh third edge.
 
-    Good-edge moves are skipped while either major component is absent.
     Returns the two matchings plus the applied-move trace.
     """
-    majors = {c: part.major(c) for c in (Color.RED, Color.BLUE)}
     matching: dict[Color, set[Triple]] = {Color.RED: set(), Color.BLUE: set()}
     covered = 0
     moves: list[dict] = []
 
-    red_major = majors[Color.RED]
-    blue_major = majors[Color.BLUE]
     # the two colours share no edge, so the sum is the union of the masks
-    major_bits = sum(info.edge_bits for info in (red_major, blue_major) if info is not None)
-    good_ready = red_major is not None and blue_major is not None
+    major_bits = sum(info.edge_bits for info in map(part.major, (Color.RED, Color.BLUE)) if info is not None)
 
-    def good(t: Triple) -> bool:
-        return _good(red_major, blue_major, t)
-
-    def matched_home(t: Triple) -> Color:
-        color = col.color_of(t)
-        info = majors[color]
-        if info is None or not info.in_shadow(t[0], t[1]):
-            raise RcoverError(f"exchange produced {t} outside its major component")
-        return color
+    def major_edge(t: Triple) -> bool:
+        return major_bits >> colex_index(t) & 1 == 1
 
     def try_greedy_add():
         free = major_bits & within_mask(k.vertex_mask & ~covered)
@@ -438,18 +357,11 @@ def local_search_matching(
             return ("greedy-add", (), (colex_inverse((free & -free).bit_length() - 1),))
         return None
 
-    def good_edges_within(umask: int) -> list[Triple]:
-        """Good edges of k inside umask, in colex order."""
-        return [t for t in decode_edges(k.edge_bits & within_mask(umask)) if good(t)]
-
     def try_one_for_two():
-        if not good_ready:
-            return None
         uncov = k.vertex_mask & ~covered
         pool = sorted(matching[Color.RED] | matching[Color.BLUE], key=colex_index)
         for e in pool:
-            umask = uncov | triple_mask(e)
-            cands = good_edges_within(umask)
+            cands = decode_edges(major_bits & within_mask(uncov | triple_mask(e)))
             for i, f1 in enumerate(cands):
                 m1 = triple_mask(f1)
                 for f2 in cands[i + 1 :]:
@@ -458,8 +370,6 @@ def local_search_matching(
         return None
 
     def try_two_for_three():
-        if not good_ready:
-            return None
         uncov = k.vertex_mask & ~covered
         for mcolor in (Color.RED, Color.BLUE):
             pool = sorted(matching[mcolor], key=colex_index)
@@ -471,14 +381,14 @@ def local_search_matching(
                         amask = k.link_mask(*p1) & uncov
                         for a in mask_bits(amask):
                             f1 = canon_triple(p1[0], p1[1], a)
-                            if not good(f1):
+                            if not major_edge(f1):
                                 continue
                             for u2 in e2:
                                 p2 = tuple(v for v in e2 if v != u2)
                                 bmask = k.link_mask(*p2) & uncov & ~(1 << a)
                                 for b in mask_bits(bmask):
                                     f2 = canon_triple(p2[0], p2[1], b)
-                                    if not good(f2):
+                                    if not major_edge(f2):
                                         continue
                                     cmask = (
                                         k.link_mask(u1, u2)
@@ -488,9 +398,7 @@ def local_search_matching(
                                     )
                                     for c in mask_bits(cmask):
                                         f3 = canon_triple(u1, u2, c)
-                                        info = majors[col.color_of(f3)]
-                                        # an edge's three pairs lie in one component: one pair decides
-                                        if info is not None and info.in_shadow(f3[0], f3[1]):
+                                        if major_edge(f3):
                                             return (
                                                 "two-for-three",
                                                 (e1, e2),
@@ -498,12 +406,9 @@ def local_search_matching(
                                             )
         return None
 
-    while True:
-        move = try_greedy_add()
-        if move is None:
-            move = try_one_for_two()
-        if move is None:
-            move = try_two_for_three()
+    # every move covers three more vertices, so none fits once fewer than three are uncovered
+    while (k.vertex_mask & ~covered).bit_count() >= 3:
+        move = try_greedy_add() or try_one_for_two() or try_two_for_three()
         if move is None:
             break
         kind, removed, added = move
@@ -511,7 +416,9 @@ def local_search_matching(
         for t in removed:
             matching[col.color_of(t)].discard(t)
         for t in added:
-            matching[matched_home(t)].add(t)
+            if not major_edge(t):
+                raise RcoverError(f"exchange produced {t} outside its major component")
+            matching[col.color_of(t)].add(t)
         covered = 0
         for color in (Color.RED, Color.BLUE):
             for t in matching[color]:
@@ -753,79 +660,17 @@ class CoverResult:
     trace: tuple[dict, ...]
 
 
-def _assemble(
-    h: Hypergraph3,
-    red: ConnectedMatching,
-    blue: ConnectedMatching,
-    trace: list[dict],
-) -> CoverResult:
-    covered_set = red.vertex_set() | blue.vertex_set()
-    return CoverResult(
-        red=red,
-        blue=blue,
-        covered=len(covered_set),
-        uncovered=tuple(sorted(h.vertices - covered_set)),
-        trace=tuple(trace),
-    )
-
-
-def _run_branch(
-    k: Hypergraph3,
-    col: Coloring,
-    part: ColorPartition,
-    red_m: ConnectedMatching,
-    blue_m: ConnectedMatching,
-    minor: Color,
-) -> tuple[ConnectedMatching, ConnectedMatching, list[dict]]:
-    """Residual branch with ``minor`` = the color being dissolved/rebuilt."""
-    major = minor.other()
-    major_m = red_m if major is Color.RED else blue_m
-    minor_m = blue_m if major is Color.RED else red_m
-
-    host, trimmed, info = residual_component(k, col, part, red_m, blue_m, minor)
-    pm = perfect_matching_dense(host)
-    rematched, leftovers = dissolve_matching(k, col, part, minor_m.edges, minor)
-
-    major_final = build_matching(col, major, major_m.edges + rematched, part.major(major).cid)
-    minor_comp_id = None
-    if pm.matching:
-        low = host.edge_bits & -host.edge_bits
-        minor_comp_id = f"{minor.value}:{low.bit_length() - 1}"
-    minor_final = build_matching(col, minor, pm.matching, minor_comp_id)
-
-    events = [
-        {
-            "stage": "branch",
-            "detail": {
-                "minor": minor.value,
-                "residual": info,
-                "pm_perfect": pm.perfect,
-                "pm_size": len(pm.matching),
-                "rematched": len(rematched),
-                "dissolve_leftovers": list(leftovers),
-            },
-        }
-    ]
-    if major is Color.RED:
-        return major_final, minor_final, events
-    return minor_final, major_final, events
-
-
 def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
-    """Full pipeline; the returned result always satisfies ``verify_cover``.
+    """Full pipeline: clean -> partition -> local search -> ``verify_cover``.
 
-    clean -> partition -> local search; if both leftover cores are already
-    below the 12*delta*t threshold the local-search result stands ("we are
-    done" in the counting argument).  Otherwise both orientations of the
-    residual branch are attempted and the highest-coverage result that
-    verifies is returned, falling back to the local-search result when a
-    branch's preconditions fail.
+    The returned result always satisfies ``verify_cover``; a result that
+    fails it raises RcoverError.
     """
-    delta = delta_of(gamma)
-    trace: list[dict] = []
-
     k, report = clean(h, gamma)
-    trace.append(
+    col_k = col if k is h else col.restrict(k)
+    part = partition_vertices(col_k)
+    red, blue, moves = local_search_matching(k, col_k, part)
+    trace = [
         {
             "stage": "clean",
             "detail": {
@@ -836,77 +681,22 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
                 "deactivated_pairs": report.deactivated_pairs,
                 "bound_held": report.bound_held,
             },
-        }
+        },
+        {"stage": "partition", "detail": {"major_red": part.major_red, "major_blue": part.major_blue}},
+        *moves,
+    ]
+    covered_set = red.vertex_set() | blue.vertex_set()
+    result = CoverResult(
+        red=red,
+        blue=blue,
+        covered=len(covered_set),
+        uncovered=tuple(sorted(h.vertices - covered_set)),
+        trace=tuple(trace),
     )
-    col_k = col if k is h else col.restrict(k)
-    part = partition_vertices(k, col_k)
-    trace.append(
-        {
-            "stage": "partition",
-            "detail": {
-                "red_side": len(part.red_side),
-                "blue_side": len(part.blue_side),
-                "major_red": part.major_red,
-                "major_blue": part.major_blue,
-                "red_core": len(part.red_core),
-                "blue_core": len(part.blue_core),
-            },
-        }
-    )
-
-    red_m, blue_m, moves = local_search_matching(k, col_k, part)
-    trace.extend(moves)
-
-    base = _assemble(h, red_m, blue_m, list(trace))
-    ok, diags = verify_cover(base, h, col)
+    ok, diags = verify_cover(result, h, col)
     if not ok:
-        raise RcoverError(f"internal: local-search result failed verification: {diags}")
-
-    covered_set = red_m.vertex_set() | blue_m.vertex_set()
-    res_red = len([v for v in part.red_core if v not in covered_set])
-    res_blue = len([v for v in part.blue_core if v not in covered_set])
-    twelve_delta_t = 12.0 * delta * k.t
-    if res_red < twelve_delta_t and res_blue < twelve_delta_t:
-        trace.append(
-            {
-                "stage": "early-exit",
-                "detail": {
-                    "residual_red": res_red,
-                    "residual_blue": res_blue,
-                    "twelve_delta_t": twelve_delta_t,
-                },
-            }
-        )
-        return _assemble(h, red_m, blue_m, trace)
-
-    candidates = [base]
-    # the orientation whose residual core is larger plays the major role first
-    first_minor = Color.BLUE if res_red >= res_blue else Color.RED
-    for minor in (first_minor, first_minor.other()):
-        try:
-            bred, bblue, events = _run_branch(k, col_k, part, red_m, blue_m, minor)
-        except RcoverError as exc:  # BranchInapplicableError among others
-            trace.append({"stage": "branch", "detail": {"minor": minor.value, "error": str(exc)}})
-            continue
-        cand = _assemble(h, bred, bblue, trace + events)
-        ok, diags = verify_cover(cand, h, col)
-        if ok:
-            candidates.append(cand)
-            trace.extend(events)
-        else:
-            trace.append({"stage": "branch", "detail": {"minor": minor.value, "invalid": diags}})
-
-    best = max(candidates, key=lambda r: r.covered)
-    trace.append(
-        {
-            "stage": "select",
-            "detail": {
-                "candidates": [r.covered for r in candidates],
-                "covered": best.covered,
-            },
-        }
-    )
-    return replace(best, trace=tuple(trace))
+        raise RcoverError(f"internal: cover failed verification: {diags}")
+    return result
 
 
 # -- verification -----------------------------------------------------------------

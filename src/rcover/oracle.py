@@ -1,8 +1,9 @@
 """Exhaustive ground truth for small instances.
 
 Deliberately independent routes from the production code: the matching-cover
-oracle enumerates covered-vertex bitmasks per monochromatic component, the
-cycle oracle enumerates cyclic orders with no pruning, and the perfect
+oracle finds each color's components by union-find over its edges (no link
+table, no pair search) and enumerates covered-vertex bitmasks per component,
+the cycle oracle enumerates cyclic orders with no pruning, and the perfect
 matching oracle runs a memoized subset DP.  Results are deterministic and
 do not depend on enumeration order.
 """
@@ -18,7 +19,6 @@ from .core import (
     Hypergraph3,
     Triple,
     canon_triple,
-    connected_components,
     triple_mask,
 )
 from .cycles import ANY, _parity_ok
@@ -34,6 +34,39 @@ class OracleReport:
     optimum: int | None
     witness: dict | None
     instances_searched: int
+
+
+def _color_components(col: Coloring, color: Color) -> list[tuple[Triple, ...]]:
+    """Pseudo-path components of one color's edges, by union-find.
+
+    The color's edges are the host triples that ``col`` gives that color.
+    Each edge is merged with the first edge through each of its three pairs,
+    so two edges end up together iff a chain of edges, each sharing a pair
+    with the next, joins them.  Components come in order of their first
+    edge, each with its edges in colex order.
+    """
+    host = col.host
+    triples = sorted(combinations(sorted(host.vertices), 3), key=lambda t: (t[2], t[1], t[0]))  # colex
+    edges = [t for t in triples if host.has_edge(t) and col.color_of(t) is color]
+    parent = list(range(len(edges)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first_through: dict[tuple[int, int], int] = {}
+    for i, (a, b, c) in enumerate(edges):
+        for pair in ((a, b), (a, c), (b, c)):
+            j = first_through.setdefault(pair, i)
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[Triple]] = {}
+    for i, e in enumerate(edges):
+        groups.setdefault(root(i), []).append(e)
+    return [tuple(g) for g in groups.values()]
 
 
 def _component_masks(edges: tuple[Triple, ...]) -> tuple[dict[int, tuple[Triple, ...]], int]:
@@ -68,9 +101,8 @@ def oracle_matching_cover(h: Hypergraph3, col: Coloring) -> OracleReport:
     searched = 0
     per_color: dict[Color, dict[int, tuple[tuple[Triple, ...], tuple[Triple, ...]]]] = {}
     for color in (Color.RED, Color.BLUE):
-        sub = col.subhypergraph(color)
         merged: dict[int, tuple[tuple[Triple, ...], tuple[Triple, ...]]] = {0: ((), ())}
-        for comp in connected_components(sub):
+        for comp in _color_components(col, color):
             masks, n = _component_masks(comp)
             searched += n
             for m, wit in masks.items():

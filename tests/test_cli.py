@@ -227,6 +227,14 @@ def test_sweep_threads_must_be_a_positive_integer(tmp_path):
         _assert_one_line_error(*_cli(*base, env_extra={"RCOVER_THREADS": value}))
 
 
+def test_solve_unallocatable_n_is_one_line(tmp_path):
+    # the edge mask would take C(10**6, 3) / 8, about 2e16 bytes: the
+    # allocation fails at once, before any memory is touched
+    inst = tmp_path / "huge.h3json"
+    inst.write_text('{"n": 1000000, "edges": []}')
+    _assert_one_line_error(*_cli("solve", "--input", str(inst)))
+
+
 
 CLASSES = [[0, 1], [2, 3], [4, 5]]
 

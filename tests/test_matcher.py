@@ -1,8 +1,9 @@
-"""Pipeline stages: cleanup, partition, exchange search, residual branch, cover."""
+"""Pipeline stages: cleanup, majors, exchange search, the residual steps, cover."""
 
 import gc
+import hashlib
 import random
-from dataclasses import replace
+import re
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from rcover.core import (
     pair_component,
 )
 from rcover.errors import BranchInapplicableError, CleanupExhaustedError
+from rcover.formats import canonical_json, cover_to_json
 from rcover.generators import (
     monochromatic_instance,
     planted_partition_instance,
@@ -26,7 +28,6 @@ from rcover.generators import (
 )
 from rcover.matcher import (
     CoverResult,
-    _good,
     build_matching,
     check_clean_properties,
     clean,
@@ -44,7 +45,7 @@ from rcover.oracle import _component_masks, oracle_matching_cover, oracle_perfec
 
 from conftest import random_coloring, random_hypergraph
 
-GAMMA_DESK = 1e-3  # delta > 1: cleanup is a no-op on dense hosts, early exit always
+GAMMA_DESK = 1e-3  # delta > 1: cleanup is a no-op on dense hosts
 GAMMA_THIRD = (1 / 30) ** 6  # delta = 1/3
 
 
@@ -139,42 +140,57 @@ def test_clean_fixpoint_random_near_complete(rng):
 
 def test_partition_all_red():
     col = monochromatic_instance(8, Color.RED)
-    part = partition_vertices(col.host, col)
-    assert part.blue_side == ()
-    assert part.red_side == tuple(range(8))
+    part = partition_vertices(col)
     assert part.major_red is not None and part.major_blue is None
-    assert part.red_core == tuple(range(8))
-    assert len({part.chosen[x] for x in range(8)}) == 1
+    assert list(part.components) == [part.major_red]
+    assert part.core(Color.RED) == tuple(range(8))
+    assert part.core(Color.BLUE) == ()
 
 
 def test_partition_vertex_sign_example():
-    # edges inside {0..4} red, everything else blue: every vertex sees the
-    # blue component on all 9 others, beating the red alternative
+    # edges inside {0..4} red, everything else blue: the red K5 is the red
+    # major, and the blue component, which every pair reaches, the blue one
     host = Hypergraph3.complete(10)
     inner = set(range(5))
     red = [t for t in host.edges if set(t) <= inner]
     col = Coloring(host, red)
-    part = partition_vertices(host, col)
-    assert part.blue_side == tuple(range(10))
-    assert part.red_side == ()
-    assert part.major_blue is not None and part.major_red is None
-    assert part.blue_core == tuple(range(10))
-    # independent check of the chosen-size claim
+    part = partition_vertices(col)
+    assert part.core(Color.RED) == tuple(range(5))
+    assert part.core(Color.BLUE) == tuple(range(10))
+    # independent check of the blue major's vertex count
     blue_sub = col.subhypergraph(Color.BLUE)
     for x in range(10):
         assert blue_sub.neighbor_mask(x).bit_count() == 9
 
 
 def test_partition_tie_prefers_red():
-    # one red edge, one blue edge on disjoint vertex sets: vertices of the red
-    # edge see 2 red / 0 blue, vertices of the blue edge 0 red / 2 blue,
-    # vertex 6 sees nothing and defaults to the red side with no component
+    # one red edge and one blue edge on disjoint vertex sets: each is its
+    # color's major, and vertex 6, in no edge, is in neither core
     h = Hypergraph3(7, [(0, 1, 2), (3, 4, 5)])
-    col = Coloring(h, [(0, 1, 2)])
-    part = partition_vertices(h, col)
-    assert set(part.red_side) == {0, 1, 2, 6}
-    assert set(part.blue_side) == {3, 4, 5}
-    assert part.chosen[6] is None
+    part = partition_vertices(Coloring(h, [(0, 1, 2)]))
+    assert (part.major_red, part.major_blue) == ("R:0", "B:19")
+    assert part.core(Color.RED) == (0, 1, 2) and part.core(Color.BLUE) == (3, 4, 5)
+    # both edges red: two red components tie on vertices and edges, and
+    # the first in component order wins
+    part = partition_vertices(Coloring(h, h.edges))
+    assert list(part.components) == ["R:0", "R:19"]
+    assert (part.major_red, part.major_blue) == ("R:0", None)
+
+
+def test_partition_major_is_the_largest_component():
+    # red: a K4 on {0..3} (4 vertices, 4 edges) and a tight path on
+    # {4..8} (5 vertices, 3 edges); blue: everything else
+    host = Hypergraph3.complete(9)
+    path = [(4, 5, 6), (5, 6, 7), (6, 7, 8)]
+    red = [t for t in host.edges if set(t) <= {0, 1, 2, 3}] + path
+    part = partition_vertices(Coloring(host, red))
+    assert part.core(Color.RED) == (4, 5, 6, 7, 8)
+    # with (0, 1, 8) both have 5 vertices; the path, grown to 6 edges,
+    # beats the K4's 5 although it comes later in component order
+    more = red + [(0, 1, 8), (4, 5, 7), (4, 6, 7), (5, 6, 8)]
+    part = partition_vertices(Coloring(host, more))
+    assert part.core(Color.RED) == (4, 5, 6, 7, 8)
+    assert list(part.components).index(part.major_red) == 1
 
 
 def test_partition_components_match_a_fresh_pair_search(rng):
@@ -184,7 +200,7 @@ def test_partition_components_match_a_fresh_pair_search(rng):
     cols = [planted_partition_instance(15, [6, 5, 2]), uniform_instance(9, 0.9, 4)]
     cols += [random_coloring(random_hypergraph(12, 0.15, rng), rng) for _ in range(4)]
     for col in cols:
-        part = partition_vertices(col.host, col)
+        part = partition_vertices(col)
         expected = {}
         for color in (Color.RED, Color.BLUE):
             sub = col.subhypergraph(color)
@@ -209,8 +225,8 @@ def test_partition_components_match_a_fresh_pair_search(rng):
 def _two_sided_instance():
     """Complete K9: red = triples with >= 2 vertices in {0..4}, plus {6,7,8}.
 
-    Vertices 0..4 prefer red (N=8 vs 4), vertices 5..8 prefer blue (8 vs 5),
-    so both majors exist.  {6,7,8} is a second, minor red component.
+    Both colors' largest components span all nine vertices, so both majors
+    exist.  {6,7,8} is a second, minor red component.
     """
     inner = set(range(5))
     host = Hypergraph3.complete(9)
@@ -219,18 +235,15 @@ def _two_sided_instance():
 
 
 def test_good_edge_witness():
+    # the good edges are the edges of the two majors: all but {6,7,8}
     host, col = _two_sided_instance()
-    part = partition_vertices(host, col)
-    assert part.major_red and part.major_blue
+    part = partition_vertices(col)
     red, blue = part.major(Color.RED), part.major(Color.BLUE)
-    # {0,1,6}: pair (0,1) only in the red shadow, pair (0,6) in the blue shadow
-    assert _good(red, blue, (0, 1, 6))
-    # {0,1,2}: all pairs inside {0..4}; pairs are in the red shadow, and any
-    # pair with a single inner vertex is also in the blue shadow -> good needs
-    # checking, but (0,1),(0,2),(1,2) have no blue edge: any blue edge through
-    # them would need two more outer vertices, making a 1-inner triple -> blue
-    # shadow only contains pairs with at most one inner vertex
-    assert not _good(red, blue, (0, 1, 2))
+    good = set(decode_edges(red.edge_bits | blue.edge_bits))
+    assert good == set(host.edges) - {(6, 7, 8)}
+    assert {(0, 1, 2), (0, 1, 6), (0, 5, 6)} <= good
+    _, _, moves = local_search_matching(host, col, part)
+    assert {tuple(t) for ev in moves for t in ev["detail"]["added"]} <= good
 
 
 # -- local search ------------------------------------------------------------------
@@ -238,7 +251,7 @@ def test_good_edge_witness():
 
 def test_local_search_all_red_k6_perfect():
     col = monochromatic_instance(6, Color.RED)
-    part = partition_vertices(col.host, col)
+    part = partition_vertices(col)
     red_m, blue_m, _ = local_search_matching(col.host, col, part)
     assert red_m.edges == ((0, 1, 2), (3, 4, 5))
     assert blue_m.edges == ()
@@ -246,7 +259,7 @@ def test_local_search_all_red_k6_perfect():
 
 def test_local_search_all_red_k7_leaves_one():
     col = monochromatic_instance(7, Color.RED)
-    part = partition_vertices(col.host, col)
+    part = partition_vertices(col)
     red_m, blue_m, _ = local_search_matching(col.host, col, part)
     assert red_m.covered() == 6 and blue_m.covered() == 0
 
@@ -266,7 +279,7 @@ def test_local_search_two_for_three_move_fires():
     blue_edges = [(1, 2, 7), (4, 5, 8), (2, 7, 8), (4, 7, 8)]
     h = Hypergraph3(9, red_edges + blue_edges)
     col = Coloring(h, red_edges)
-    part = partition_vertices(h, col)
+    part = partition_vertices(col)
     red_m, blue_m, moves = local_search_matching(h, col, part)
     kinds = [m["detail"]["kind"] for m in moves]
     assert kinds == ["greedy-add", "greedy-add", "two-for-three"]
@@ -290,9 +303,7 @@ def test_local_search_within_oracle_slack(rng):
     for seed in range(60):
         col = uniform_instance(7, 0.5, seed)
         res = cover(col.host, col, GAMMA_DESK)
-        rep = oracle_matching_cover(col.host, col)
-        assert res.covered >= rep.optimum - 6
-        assert res.covered <= rep.optimum
+        assert res.covered == oracle_matching_cover(col.host, col).optimum
 
 
 # -- certificates -------------------------------------------------------------------
@@ -340,11 +351,13 @@ def _bridge_instance(n, n_outside):
 
 
 def test_residual_component_all_blue_nine():
-    # greedy covers {0,1,13},{2,3,14}; the residual core {4..12} is an
-    # all-blue complete K9: the whole thing comes back untrimmed
+    # red covers {0,1,13},{2,3,14}; the rest of the red core (all 15
+    # vertices) is {4..12}, an all-blue complete K9: the whole thing comes
+    # back untrimmed
     host, col = _bridge_instance(15, 2)
-    part = partition_vertices(host, col)
-    red_m, blue_m, _ = local_search_matching(host, col, part)
+    part = partition_vertices(col)
+    red_m = build_matching(col, Color.RED, [(0, 1, 13), (2, 3, 14)], part.major_red)
+    blue_m = build_matching(col, Color.BLUE, [], None)
     assert red_m.vertex_set() == {0, 1, 2, 3, 13, 14}
     b, trimmed, info = residual_component(host, col, part, red_m, blue_m)
     assert b.vertices == frozenset(range(4, 13))
@@ -354,8 +367,9 @@ def test_residual_component_all_blue_nine():
 
 def test_residual_component_trims_largest_id():
     host, col = _bridge_instance(16, 2)  # residual core {4..13}: 10 vertices
-    part = partition_vertices(host, col)
-    red_m, blue_m, _ = local_search_matching(host, col, part)
+    part = partition_vertices(col)
+    red_m = build_matching(col, Color.RED, [(0, 1, 14), (2, 3, 15)], part.major_red)
+    blue_m = build_matching(col, Color.BLUE, [], None)
     b, trimmed, _ = residual_component(host, col, part, red_m, blue_m)
     assert trimmed == (13,)
     assert b.vertices == frozenset(range(4, 13))
@@ -368,7 +382,7 @@ def test_residual_component_picks_anchor_component():
     host = Hypergraph3.complete(13)
     blue = [t for t in host.edges if set(t) <= {4, 5, 6} or set(t) <= {8, 9, 10}]
     col = Coloring(host, [t for t in host.edges if t not in set(blue)])
-    part = partition_vertices(host, col)
+    part = partition_vertices(col)
     red_m = build_matching(col, Color.RED, [(0, 1, 2), (3, 7, 11)], part.major_red)
     blue_m = build_matching(col, Color.BLUE, [], None)
     b, trimmed, info = residual_component(host, col, part, red_m, blue_m)
@@ -379,7 +393,7 @@ def test_residual_component_picks_anchor_component():
 
 def test_residual_component_no_blue_edge_errors():
     col = monochromatic_instance(9, Color.RED)
-    part = partition_vertices(col.host, col)
+    part = partition_vertices(col)
     red_m = build_matching(col, Color.RED, [(0, 1, 2)], part.major_red)
     blue_m = build_matching(col, Color.BLUE, [], None)
     with pytest.raises(BranchInapplicableError):
@@ -432,7 +446,7 @@ def test_perfect_matching_agrees_with_oracle(rng):
 
 def test_dissolve_empty():
     col = uniform_instance(6, 0.5, 0)
-    part = partition_vertices(col.host, col)
+    part = partition_vertices(col)
     assert dissolve_matching(col.host, col, part, []) == ((), ())
 
 
@@ -441,7 +455,7 @@ def test_dissolve_single_edge_leftovers():
     # edge, which cannot be major-colored -> everything is left over
     host = Hypergraph3.complete(6)
     col = Coloring(host, [t for t in host.edges if t != (0, 1, 2)])
-    part = partition_vertices(host, col)
+    part = partition_vertices(col)
     matched, leftovers = dissolve_matching(host, col, part, [(0, 1, 2)])
     assert matched == ()
     assert leftovers == (0, 1, 2)
@@ -450,7 +464,7 @@ def test_dissolve_single_edge_leftovers():
 def test_dissolve_two_edges_rematch():
     host = Hypergraph3.complete(9)
     col = Coloring(host, [t for t in host.edges if t not in {(0, 1, 2), (3, 4, 5)}])
-    part = partition_vertices(host, col)
+    part = partition_vertices(col)
     matched, leftovers = dissolve_matching(host, col, part, [(0, 1, 2), (3, 4, 5)])
     assert matched == ((2, 3, 4), (0, 1, 5))
     assert leftovers == ()
@@ -459,13 +473,12 @@ def test_dissolve_two_edges_rematch():
 
 
 def test_dissolve_requires_core_membership():
-    host, col = _bridge_instance(15, 2)  # blue side is empty, red core is V
-    part = partition_vertices(host, col)
-    # a blue edge inside the core dissolves only if rematchable; an edge
-    # outside the core must raise
-    part_small = replace(part, red_core=(0, 1, 2))
+    host, col = _bridge_instance(15, 2)  # blue core {0..12}, red core V
+    part = partition_vertices(col)
+    assert part.core(Color.BLUE) == tuple(range(13))
+    # dissolving red edges into blue: an edge outside the blue core must raise
     with pytest.raises(BranchInapplicableError):
-        dissolve_matching(host, col, part_small, [(4, 5, 6)])
+        dissolve_matching(host, col, part, [(4, 5, 13)], minor=Color.RED)
 
 
 # -- cover ---------------------------------------------------------------------------
@@ -495,8 +508,7 @@ def test_cover_random_valid_and_within_slack(rng):
         res = cover(col.host, col, GAMMA_DESK)
         ok, diags = verify_cover(res, col.host, col)
         assert ok, diags
-        rep = oracle_matching_cover(col.host, col)
-        assert rep.optimum - 6 <= res.covered <= rep.optimum
+        assert res.covered == oracle_matching_cover(col.host, col).optimum
 
 
 def test_cover_uncovered_accounting():
@@ -515,8 +527,11 @@ def test_cover_propagates_cleanup_exhaustion():
 def _stranded_clique():
     """K60 with the triples inside S = {0..51} blue, the rest red; delta = 0.0375.
 
-    Every vertex prefers the spanning red component, greedy strands the
-    36-vertex blue clique {16..51}, and only the residual branch can match it.
+    The red component spans all 60 vertices and the blue clique 52.  Each
+    red edge holds at least one of the 8 vertices outside S, so red alone
+    covers at most 24: a full cover needs both majors.  The returned gamma
+    is the one at which the residual branch of the covering argument
+    applies.
     """
     host = Hypergraph3.complete(60)
     s = set(range(52))
@@ -525,45 +540,51 @@ def _stranded_clique():
 
 
 def test_cover_residual_branch_end_to_end():
-    host, col, gamma = _stranded_clique()
-    res = cover(host, col, gamma)
-    assert res.covered == 60
-    assert len(res.red.edges) == 8
-    assert len(res.blue.edges) == 12
-    stages = {ev["stage"] for ev in res.trace}
-    assert "branch" in stages and "early-exit" not in stages
-    ok, diags = verify_cover(res, host, col)
-    assert ok, diags
+    # local search grows both majors and covers the host at either gamma
+    host, col, branch_gamma = _stranded_clique()
+    for gamma in (GAMMA_DESK, branch_gamma):
+        res = cover(host, col, gamma)
+        assert res.covered == 60
+        assert len(res.red.edges) == 3
+        assert len(res.blue.edges) == 17
+        assert [ev["stage"] for ev in res.trace[:2]] == ["clean", "partition"]
+        assert {ev["stage"] for ev in res.trace[2:]} == {"move"}
+        ok, diags = verify_cover(res, host, col)
+        assert ok, diags
 
 
 def test_cover_residual_branch_leaves_no_reference_cycles():
     # objects in reference cycles outlive their last use until the cyclic
     # collector runs, which a run that allocates little seldom triggers
     host, col, gamma = _stranded_clique()
+    clique = col.subhypergraph(Color.BLUE).induced(range(16, 52))
     gc.collect()
     gc.disable()
     try:
         res = cover(host, col, gamma)
+        pm = perfect_matching_dense(clique)
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert any(ev["stage"] == "branch" and "residual" in ev["detail"] for ev in res.trace)
+    assert res.covered == 60
+    assert pm.perfect and len(pm.matching) == 12
 
 
 def test_cover_early_exit_logged_at_desk_scale():
+    # the pipeline ends at local search: after clean and partition the
+    # trace holds only moves
     col = uniform_instance(8, 0.5, 7)
     res = cover(col.host, col, GAMMA_DESK)
-    assert any(ev["stage"] == "early-exit" for ev in res.trace)
+    stages = [ev["stage"] for ev in res.trace]
+    assert stages[:2] == ["clean", "partition"]
+    assert set(stages[2:]) == {"move"}
+    assert res.covered == oracle_matching_cover(col.host, col).optimum
 
 
 TRACE_KEYS = {  # the vocabulary documented in rcover.formats
     "clean": {"t_before", "t_after", "deleted", "rounds", "deactivated_pairs", "bound_held"},
-    "partition": {"red_side", "blue_side", "major_red", "major_blue", "red_core", "blue_core"},
+    "partition": {"major_red", "major_blue"},
     "move": {"kind", "removed", "added", "covered"},
-    "early-exit": {"residual_red", "residual_blue", "twelve_delta_t"},
-    "branch": {"minor", "residual", "pm_perfect", "pm_size", "rematched",
-               "dissolve_leftovers", "error", "invalid"},
-    "select": {"candidates", "covered"},
 }
 
 
@@ -579,12 +600,64 @@ def test_cover_trace_uses_the_documented_vocabulary():
         trace = cover(col.host, col, gamma).trace
         stages = [ev["stage"] for ev in trace]
         assert stages[:2] == ["clean", "partition"]
-        assert stages.count("clean") == stages.count("partition") == 1
+        assert set(stages[2:]) <= {"move"}
         for ev in trace:
-            assert ev["detail"].keys() <= TRACE_KEYS[ev["stage"]], ev
+            assert ev["detail"].keys() == TRACE_KEYS[ev["stage"]], ev
             seen.add(ev["detail"].get("kind", ev["stage"]))
-    assert {"one-for-two", "early-exit", "branch", "select"} <= seen
-    assert all(f"``{stage}``" in rcover.formats.__doc__ for stage in TRACE_KEYS)
+    assert {"greedy-add", "one-for-two"} <= seen
+    documented = re.findall(r"^    \* ``([a-z-]+)``:", rcover.formats.__doc__, re.M)
+    assert documented == list(TRACE_KEYS)
+
+
+# -- exactness and coverage ----------------------------------------------------------
+
+
+def test_cover_uniform_hosts_are_exact():
+    for n in (12, 24, 36):
+        for seed in range(40):
+            col = uniform_instance(n, 0.5, seed)
+            for gamma in (1e-3, 1e-6):
+                assert cover(col.host, col, gamma).covered == 3 * (col.host.t // 3), (n, seed, gamma)
+
+
+@pytest.mark.parametrize("sizes", [[28, 1, 1], [15, 15], [10, 10, 10], [20, 10], [12, 12, 6]])
+def test_cover_planted_n30_covers_every_vertex(sizes):
+    col = planted_partition_instance(30, sizes)
+    res = cover(col.host, col, GAMMA_DESK)
+    assert res.covered == 30
+    ok, diags = verify_cover(res, col.host, col)
+    assert ok, diags
+
+
+@pytest.mark.parametrize("n, p", [(9, 0.5), (9, 0.8), (9, 0.95), (10, 0.5)])
+def test_cover_equals_oracle(n, p):
+    for seed in range(60):
+        col = uniform_instance(n, p, seed)
+        assert cover(col.host, col, GAMMA_DESK).covered == oracle_matching_cover(col.host, col).optimum, seed
+
+
+def _pinned_sample():
+    """(coloring, gamma) pairs whose cover outputs are pinned by digest."""
+    sample = [(uniform_instance(n, 0.5, seed), gamma) for n in (12, 24, 36) for seed in range(3)
+              for gamma in (1e-3, 1e-6)]
+    sample += [(planted_partition_instance(30, sizes), GAMMA_DESK)
+               for sizes in ([28, 1, 1], [15, 15], [10, 10, 10], [20, 10], [12, 12, 6])]
+    _, strand, branch_gamma = _stranded_clique()
+    sample += [(strand, GAMMA_DESK), (strand, branch_gamma)]
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        sample.append((random_coloring(random_hypergraph(20, 0.3, rng), rng), GAMMA_DESK))
+    return sample
+
+
+COVER_DIGEST = "c9b9c84e743f11a96cdcad1f21257258a6192d2f92bff197530878c0899d8e1b"
+
+
+def test_cover_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for col, gamma in _pinned_sample():
+        digest.update(canonical_json(cover_to_json(cover(col.host, col, gamma))).encode())
+    assert digest.hexdigest() == COVER_DIGEST
 
 
 # -- verify_cover diagnostics -----------------------------------------------------------

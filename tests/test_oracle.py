@@ -9,10 +9,13 @@ from rcover.errors import InstanceTooLargeError
 from rcover.generators import monochromatic_instance, uniform_instance
 from rcover.matcher import CoverResult, build_matching, cover, verify_cover
 from rcover.oracle import (
+    _color_components,
     oracle_cycle_pair,
     oracle_matching_cover,
     oracle_perfect_matching,
 )
+
+from conftest import random_coloring, random_hypergraph
 
 
 def test_matching_cover_all_red_k6():
@@ -79,6 +82,33 @@ def test_matching_cover_single_component_constraint():
         comps = [{0, 1, 2}, {3, 4, 5}]
         homes = [next(i for i, c in enumerate(comps) if set(e) <= c) for e in red_w]
         assert len(set(homes)) == 1
+
+
+def _reference_components(edges):
+    """Components of a colex-ordered edge list by search over shared pairs."""
+    comps, seen = [], set()
+    for e in edges:
+        if e in seen:
+            continue
+        comp, stack = {e}, [e]
+        while stack:
+            f = stack.pop()
+            for g in edges:
+                if g not in comp and len(set(f) & set(g)) == 2:
+                    comp.add(g)
+                    stack.append(g)
+        seen |= comp
+        comps.append(tuple(g for g in edges if g in comp))
+    return comps
+
+
+def test_color_components_match_a_reference(rng):
+    for trial in range(60):
+        n = rng.randint(5, 12)
+        col = random_coloring(random_hypergraph(n, rng.choice((0.05, 0.1, 0.2, 0.4)), rng), rng)
+        for color in (Color.RED, Color.BLUE):
+            edges = [t for t in col.host.edges if col.color_of(t) is color]
+            assert _color_components(col, color) == _reference_components(edges), (trial, color)
 
 
 def test_cycle_pair_all_red_k6():
