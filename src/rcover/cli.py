@@ -53,6 +53,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ABSENT = 2
 
+# Largest n that gen and sweep build: K_1000 already has a 21 MB edge mask,
+# and a uniform coloring of it takes about half a minute.
+GEN_MAX_N = 1000
+
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -87,6 +91,8 @@ def _parse_seeds(spec: str) -> list[int]:
 def _generate(model: str, n: int, p: float, seed: int, classes, color, input_path):
     if model != "fromfile" and n < 4:
         raise ValueError("instances need at least 4 vertices")
+    if model != "fromfile" and n > GEN_MAX_N:
+        raise ValueError(f"instances have at most {GEN_MAX_N} vertices, got --n {n}")
     if model == "uniform":
         return uniform_instance(n, p, seed)
     if model == "mono":

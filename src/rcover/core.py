@@ -7,16 +7,24 @@ whose bit i is set iff the triple of colex index i is present; the same
 integer is the payload of the ``h3bits`` file format.  Triples are decoded
 from the set bits on demand and come out in colex order.  The link of a
 pair is a bitmask over vertex ids.  Each host keeps one flat link table,
-``links()[x * n + y]``, filled in both orders with a zero diagonal and read
-lazily off the edge bits: a host complete on its vertex set needs no edge
-pass, and a coloring's blue table is the host's XOR the red one.  Every
-shadow, component and path query indexes that table.
+``links()[x * n + y]``, filled in both orders with a zero diagonal, and the
+same links packed as one integer per vertex (``link_blocks()``).  Both are
+built once, lazily, off the edge bits: a host complete on its vertex set
+needs no edge pass, any other host takes a fixed number of big-integer
+operations (a row layout of the colex slices, a row permutation and one
+bit transpose), and a coloring's blue table is the host's XOR the red one.
+Pseudo-path components come from the link blocks: every vertex's link
+graph is searched at once on packed rows, and the parts are glued.  Every
+shadow, component and path query reads those tables.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -147,6 +155,100 @@ def decode_edges(bits: int) -> tuple[Triple, ...]:
     return tuple(out)
 
 
+# -- packed rows ------------------------------------------------------------
+#
+# A packed matrix is one integer holding rows of w bits, row r at bits
+# [r * w, (r + 1) * w), with w = row_width(n) a whole number of bytes, so a
+# row is also rb = w // 8 bytes of the little-endian byte string.
+
+_WORD = {array(code).itemsize: code for code in "BHILQ"}  # array typecode per byte size
+_CHUNK_BITS = 1 << 21  # largest integer the link-table transpose works on: n <= 128 in one go
+
+
+def row_width(n: int) -> int:
+    """Bits per packed row for vertex ids below n: a power of two >= max(8, n)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _rows_of(buf, rb: int) -> list[int]:
+    """The rb-byte little-endian rows of a byte string, as ints."""
+    words = array(_WORD[min(rb, 8)])
+    words.frombytes(buf)
+    if sys.byteorder == "big":
+        words.byteswap()
+    k = rb >> 3  # 64-bit words per row, when a row is wider than one
+    if k < 2:
+        return words.tolist()
+    rows = words[k - 1 :: k].tolist()
+    for j in range(k - 2, -1, -1):
+        rows = [r << 64 | x for r, x in zip(rows, words[j::k])]
+    return rows
+
+
+def _pack(rows, rb: int) -> int:
+    """Inverse of ``_rows_of``: the rows, each below 2**(8 * rb), as one integer."""
+    if rb > 8:
+        return int.from_bytes(b"".join(r.to_bytes(rb, "little") for r in rows), "little")
+    words = array(_WORD[rb], rows)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+@lru_cache(maxsize=16)
+def _transpose_steps(w: int) -> tuple[tuple[int, bytes], ...]:
+    """(shift, mask of one w x w block) of each delta swap of a bit transpose.
+
+    Step j swaps the bit (r, c), r without and c with bit j, and the bit
+    (r + j, c - j), which lies j * (w - 1) places higher.
+    """
+    rb = w >> 3
+    steps = []
+    j = w >> 1
+    while j:
+        row = sum(1 << c for c in range(w) if c & j).to_bytes(rb, "little")
+        steps.append((j * (w - 1), b"".join(bytes(rb) if r & j else row for r in range(w))))
+        j >>= 1
+    return tuple(steps)
+
+
+def _build_link_table(n: int, bits: int) -> list[int]:
+    """Flat link table of a colex edge mask (see ``Hypergraph3.links``), word-parallel.
+
+    The table is a bit cube T(x, y, z) = [xyz is an edge], laid out as rows
+    (x, y) of w bits z, y padded to w.  S holds each edge abc once, at row
+    (c, b) bit a: the ``colex_slices`` themselves.  s2 swaps the two row
+    axes (a row permutation) and s1 swaps y with z (a bit transpose of every
+    w x w block), so the six images of each triple are
+    T = (1 + s2)(S + s1(S + s2 S)), all disjoint, with one transpose.  The
+    transpose runs on runs of whole blocks of at most _CHUNK_BITS bits, so
+    its temporaries stay small on large hosts.
+    """
+    w = row_width(n)
+    rb = w >> 3
+    rows = [0] * (n * w)
+    for b, c, part in colex_slices(bits):
+        rows[c * w + b] = part
+    sym = rows[:]
+    for x in range(n - 1):  # s2: upper row (x, y) from lower row (y, x)
+        sym[x * w + x + 1 : x * w + n] = sym[(x + 1) * w + x :: w]
+    links: list[int] = []
+    step = max(1, _CHUNK_BITS // (w * w))
+    for x0 in range(0, n, step):
+        span = slice(x0 * w, min(n, x0 + step) * w)
+        blocks = (span.stop - span.start) // w
+        t = _pack(sym[span], rb)
+        for shift, block in _transpose_steps(w):  # s1
+            mask = int.from_bytes(block * blocks, "little")
+            d = (t ^ t >> shift) & mask
+            t ^= d ^ d << shift
+        lower = (_pack(rows[span], rb) | t).to_bytes(blocks * w * rb, "little")  # rows y < x
+        links += _rows_of(b"".join(lower[x * w * rb : (x * w + n) * rb] for x in range(blocks)), rb)
+    for x in range(n - 1):  # s2 again, on the flat table
+        links[x * n + x + 1 : (x + 1) * n] = links[(x + 1) * n + x :: n]
+    return links
+
+
 class Hypergraph3:
     """Immutable 3-uniform hypergraph on a vertex subset of [0, n).
 
@@ -155,11 +257,12 @@ class Hypergraph3:
     ``n``, the vertex bitmask ``vertex_mask`` and the colex edge bitmask
     ``edge_bits``; ``edges`` decodes the latter on demand.  The link table
     ``links()`` is a flat list of n * n masks, ``links()[x * n + y]`` the
-    link of the pair xy in either order, built lazily and cached; instances
-    are safe to share across threads once constructed.
+    link of the pair xy in either order, and ``link_blocks()`` packs it by
+    vertex; both are built lazily and cached, and instances are safe to
+    share across threads once constructed.
     """
 
-    __slots__ = ("n", "vertex_mask", "edge_bits", "_links")
+    __slots__ = ("n", "vertex_mask", "edge_bits", "_links", "_blocks")
 
     def __init__(self, n: int, edges, vertices=None):
         if n < 0:
@@ -177,7 +280,7 @@ class Hypergraph3:
         self.n = n
         self.edge_bits = edge_bits
         self.vertex_mask = vertex_mask
-        self._links = None
+        self._links = self._blocks = None
 
     # -- constructors ------------------------------------------------------
 
@@ -230,9 +333,9 @@ class Hypergraph3:
 
         Both orders are filled and the diagonal is 0.  On a host complete on
         its vertex set, link(x, y) is the vertex mask minus x and y: one
-        template row, with x cleared, per vertex x.  Otherwise each slice of
-        ``colex_slices`` is ORed whole into the link of bc, the pairs ab and
-        ac take one bit per edge, and the upper triangle is mirrored.
+        template row, with x cleared, per vertex x.  Otherwise the table is
+        read off the edge bits by ``_build_link_table``, in a fixed number
+        of big-integer and list-slice operations.
         """
         links = self._links
         if links is None:
@@ -244,20 +347,22 @@ class Hypergraph3:
                     links += [m & ~(1 << x) for m in row] if vmask >> x & 1 else [0] * n
                     links[x * n + x] = 0
             else:
-                links = [0] * (n * n)
-                for b, c, part in colex_slices(bits):
-                    links[b * n + c] |= part
-                    bbit, cbit = 1 << b, 1 << c
-                    while part:
-                        low = part & -part
-                        part ^= low
-                        a = low.bit_length() - 1
-                        links[a * n + b] |= cbit
-                        links[a * n + c] |= bbit
-                for x in range(n - 1):
-                    links[(x + 1) * n + x :: n] = links[x * n + x + 1 : (x + 1) * n]
+                links = _build_link_table(n, bits)
             self._links = links
         return links
+
+    def link_blocks(self) -> list[int]:
+        """The link table packed by vertex; built once.
+
+        Block z is one integer holding link(u, z) as row u, for u < n, in
+        rows of ``row_width(n)`` bits: column z of ``links()``.
+        """
+        blocks = self._blocks
+        if blocks is None:
+            links, n = self.links(), self.n
+            rb = row_width(n) >> 3
+            blocks = self._blocks = [_pack(links[z * n : (z + 1) * n], rb) for z in range(n)]
+        return blocks
 
     def shadow_pairs(self) -> list[Pair]:
         """Pairs (x, y), x < y, with a nonempty link, in ascending order."""
@@ -297,49 +402,99 @@ class Hypergraph3:
 # -- connectivity ----------------------------------------------------------
 
 
-def pair_component(h: Hypergraph3, x: int, y: int) -> tuple[list[Pair], dict[int, int]]:
-    """Shadow pairs of the pseudo-path component through the shadow pair xy.
+def _link_graph_parts(blocks: list[int]) -> list[list[int]]:
+    """Components of every link graph G_u = {zw : uzw an edge}, as vertex masks.
 
-    Breadth-first over pairs: from pair xy, every z in the link of xy
-    reaches the pairs xz and yz.  Also returns, per vertex, the mask of its
-    partners in those pairs (its neighbor mask inside the component).
+    All n searches run at once on packed rows: row u of R holds the vertices
+    reached in G_u, and for each z one step ORs link(u, z) -- row u of block
+    z -- into every row u that holds z.  Each round seeds every row with its
+    lowest unreached vertex; a vertex of G_u is a z with link(u, z) nonempty.
     """
-    links, n = h.links(), h.n
-    pairs = [(x, y)]
-    partners = {x: 1 << y, y: 1 << x}
-    for x, y in pairs:  # the list grows while it is scanned
-        link = links[x * n + y]
-        for u in (x, y):
-            new = link & ~partners[u]
-            if new:
-                partners[u] |= new
-                for z in mask_bits(new):
-                    partners[z] = partners.get(z, 0) | (1 << u)
-                    pairs.append((u, z) if u < z else (z, u))
-    return pairs, partners
+    n = len(blocks)
+    w = row_width(n)
+    rb = w >> 3
+    low = int.from_bytes((b"\x01" + bytes(rb - 1)) * n, "little")  # bit 0 of every row
+    full = (1 << w) - 1
+    live = [(z, blk) for z, blk in enumerate(blocks) if blk]
+    vertices = 0  # row u: the vertices of G_u
+    for _, blk in live:
+        vertices |= blk
+    left = _rows_of(vertices.to_bytes(n * rb, "little"), rb)
+    parts: list[list[int]] = [[] for _ in range(n)]
+    while any(left):
+        r = _pack([m & -m for m in left], rb)
+        prev = None
+        while r != prev:
+            prev = r
+            for z, blk in live:
+                r |= ((r >> z) & low) * full & blk
+        for u, m in enumerate(_rows_of(r.to_bytes(n * rb, "little"), rb)):
+            if m:
+                parts[u].append(m)
+                left[u] ^= m
+    return parts
 
 
 def shadow_components(h: Hypergraph3) -> list[tuple[int, dict[int, int]]]:
-    """Pseudo-path components as (edge bits, partner masks).
+    """Pseudo-path components as (edge bits, partner masks), sorted by first edge.
 
-    One ``pair_component`` search per component, started at the first
-    unlabelled shadow pair, sorted by first edge.  A component's shadow is
-    the pairs xy with y in its partner mask of x.  With two or more, each
-    colex slice goes whole to the component of its pair bc.
+    A component is a set of shadow pairs, and a step of the pair search,
+    from uz to uw across the edge uzw, stays at u and follows the edge zw
+    of u's link graph G_u.  So a component is a union of link-graph
+    components glued wherever the pair uz is both the vertex z of G_u and
+    the vertex u of G_z: a search over (u, part of G_u) nodes, which is a
+    mask search over vertices wherever G_u is connected.  The partner mask
+    of u is the union of its parts in the component; an edge abc belongs
+    with its pair bc, so the whole colex block of c goes with c when G_c is
+    connected.
     """
-    label: dict[Pair, int] = {}
-    found = []
-    for p in h.shadow_pairs():
-        if p not in label:
-            pairs, partners = pair_component(h, *p)
-            for q in pairs:
-                label[q] = len(found)
-            found.append(partners)
+    parts = _link_graph_parts(h.link_blocks())
+    single = sum(1 << u for u, ps in enumerate(parts) if len(ps) == 1)
+    part_of = {  # for each split G_u: the part that holds z
+        u: {z: i for i, m in enumerate(ps) for z in mask_bits(m)} for u, ps in enumerate(parts) if len(ps) > 1
+    }
+
+    label: dict[tuple[int, int], int] = {}
+    found: list[dict[int, int]] = []
+    seen = 0  # the vertices with a connected G_u already reached
+    for start in ((u, i) for u, ps in enumerate(parts) for i in range(len(ps))):
+        if start in label:
+            continue
+        partners: dict[int, int] = {}
+        stack = [start]
+        label[start] = len(found)
+        seen |= single & 1 << start[0]
+        while stack:
+            u, i = stack.pop()
+            m = parts[u][i]
+            partners[u] = partners.get(u, 0) | m
+            fresh = m & single & ~seen
+            seen |= fresh
+            for z in mask_bits(fresh):
+                label[z, 0] = len(found)
+                stack.append((z, 0))
+            for z in mask_bits(m & ~single):
+                node = (z, part_of[z][u])
+                if node not in label:
+                    label[node] = len(found)
+                    stack.append(node)
+        found.append(partners)
     if len(found) < 2:
         return [(h.edge_bits, f) for f in found]
     bits = [0] * len(found)
-    for b, c, part in colex_slices(h.edge_bits):
-        bits[label[b, c]] |= part << (comb(c, 3) + comb(b, 2))
+    rest, c = h.edge_bits, 2
+    while rest:
+        width = comb(c, 2)
+        block = rest & ((1 << width) - 1)
+        rest >>= width
+        if block and single >> c & 1:
+            bits[label[c, 0]] |= block << comb(c, 3)
+        elif block:
+            for b in range(1, c):
+                part = block >> comb(b, 2) & ((1 << b) - 1)
+                if part:
+                    bits[label[c, part_of[c][b]]] |= part << (comb(c, 3) + comb(b, 2))
+        c += 1
     return sorted(zip(bits, found), key=lambda comp: comp[0] & -comp[0])
 
 
@@ -348,8 +503,8 @@ def connected_components(h: Hypergraph3) -> tuple[tuple[Triple, ...], ...]:
 
     Two edges are equivalent iff a sequence of edges joins them with every
     consecutive pair sharing exactly two vertices; equivalently, their
-    shadow pairs lie in one ``pair_component``.  Components are returned
-    with edges in colex order, sorted by their first edge.
+    shadow pairs lie in one component of ``shadow_components``.  Components
+    are returned with edges in colex order, sorted by their first edge.
     """
     return tuple(decode_edges(bits) for bits, _ in shadow_components(h))
 

@@ -105,8 +105,10 @@ def clean(h: Hypergraph3, gamma: float) -> tuple[Hypergraph3, CleanReport]:
         if t == 0:
             break
         threshold = ceil((1.0 - delta) * t)
-        links = k.links()
-        bad = [(x, y) for x, y in k.shadow_pairs() if links[x * n + y].bit_count() < threshold]
+        bad = []  # no link is smaller than a threshold <= 0, as at every gamma >= 1e-6
+        if threshold > 0:
+            links = k.links()
+            bad = [(x, y) for x, y in k.shadow_pairs() if links[x * n + y].bit_count() < threshold]
         if bad:
             deactivated += len(bad)
             drop = index_mask(

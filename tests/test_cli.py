@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from rcover.cli import main
+from rcover.cli import GEN_MAX_N, main
 from rcover.formats import load_instance
 
 
@@ -225,6 +225,17 @@ def test_sweep_threads_must_be_a_positive_integer(tmp_path):
     base = ("sweep", "--model", "uniform", "--n", "6", "--seeds", "0..1", "--out", str(tmp_path / "s.csv"))
     for value in ("0", "x"):
         _assert_one_line_error(*_cli(*base, env_extra={"RCOVER_THREADS": value}))
+
+
+@pytest.mark.parametrize("model", ["mono", "uniform"])
+def test_gen_huge_n_is_one_line(tmp_path, model):
+    # without a size check, mono fails allocating C(10**6, 3) bits and
+    # uniform starts drawing that many counters
+    out = tmp_path / "huge.h3bits"
+    rc, err = _cli("gen", "--model", model, "--n", "1000000", "--out", str(out))
+    _assert_one_line_error(rc, err)
+    assert str(GEN_MAX_N) in err
+    assert not out.exists()
 
 
 def test_solve_unallocatable_n_is_one_line(tmp_path):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from rcover.core import (
+    _CHUNK_BITS,
     Color,
     Coloring,
     Hypergraph3,
@@ -17,6 +18,7 @@ from rcover.core import (
     connected_components,
     connecting_path,
     edge_neighbors,
+    row_width,
     tight_adjacent,
 )
 from rcover.errors import InvalidPairError, NotAnEdgeError
@@ -120,13 +122,19 @@ def _reference_links(h):
 
 
 def _assert_flat_links(h, ref):
-    """links() holds ref's mask at x * n + y and y * n + x, and 0 on the diagonal."""
-    n, flat = h.n, h.links()
-    assert len(flat) == n * n
+    """links() holds ref's mask at x * n + y and y * n + x, and 0 on the diagonal;
+    link_blocks()[y] holds the same mask as its row x."""
+    n, flat, blocks = h.n, h.links(), h.link_blocks()
+    w = row_width(n)
+    assert len(flat) == n * n and len(blocks) == n
     for x in range(n):
         assert flat[x * n + x] == 0
+        assert blocks[x] >> (x * w) & ((1 << w) - 1) == 0
         for y in range(x + 1, n):
             assert flat[x * n + y] == flat[y * n + x] == ref.get((x, y), 0)
+            assert blocks[y] >> (x * w) & ((1 << w) - 1) == ref.get((x, y), 0)
+            assert blocks[x] >> (y * w) & ((1 << w) - 1) == ref.get((x, y), 0)
+        assert blocks[x] >> (n * w) == 0
 
 
 def test_pair_links_match_edge_by_edge_reference(rng):
@@ -153,6 +161,31 @@ def test_color_links_match_edge_by_edge_reference(rng):
             sub = col.subhypergraph(color)
             assert sub.pair_links() == _reference_links(sub)
             _assert_flat_links(sub, _reference_links(sub))
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 90])
+def test_links_match_reference_at_row_width_boundaries(n, rng):
+    # the packed rows are row_width(n) = max(8, 2**k >= n) bits wide: n at,
+    # just below and just above a width, on hosts and on both color classes
+    cols = [uniform_instance(n, p, n) for p in (0.05, 0.5, 0.95)]
+    cols.append(random_coloring(random_hypergraph(n, 0.3, rng), rng))  # not complete
+    inner = [v for v in range(1, n - 1) if v % 5 != 2]  # skips 0, n - 1 and more
+    cols += [col.restrict(col.host.induced(inner)) for col in (cols[1], cols[3])]
+    hosts = [cols[0].host, cols[3].host, cols[4].host, cols[5].host]
+    hosts += [col.subhypergraph(color) for col in cols for color in (Color.RED, Color.BLUE)]
+    for h in hosts:
+        _assert_flat_links(h, _reference_links(h))
+
+
+def test_links_match_reference_across_transpose_chunks(rng):
+    # at n = 130 the rows are 256 bits wide and the transpose takes 32 blocks
+    # at a time, so the table is built in five runs of blocks
+    n = 130
+    assert n > _CHUNK_BITS // row_width(n) ** 2
+    col = random_coloring(random_hypergraph(n, 0.02, rng), rng)
+    hosts = [col.host, col.subhypergraph(Color.RED), col.subhypergraph(Color.BLUE), col.host.induced(range(3, 127))]
+    for h in hosts:
+        _assert_flat_links(h, _reference_links(h))
 
 
 # -- storage representations ---------------------------------------------------

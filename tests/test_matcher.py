@@ -14,10 +14,7 @@ from rcover.core import (
     Hypergraph3,
     PseudoPath,
     colex_index,
-    connected_components,
     decode_edges,
-    mask_bits,
-    pair_component,
 )
 from rcover.errors import BranchInapplicableError, CleanupExhaustedError
 from rcover.formats import canonical_json, cover_to_json
@@ -41,7 +38,7 @@ from rcover.matcher import (
     residual_component,
     verify_cover,
 )
-from rcover.oracle import _component_masks, oracle_matching_cover, oracle_perfect_matching
+from rcover.oracle import _color_components, _component_masks, oracle_matching_cover, oracle_perfect_matching
 
 from conftest import random_coloring, random_hypergraph
 
@@ -193,30 +190,56 @@ def test_partition_major_is_the_largest_component():
     assert list(part.components).index(part.major_red) == 1
 
 
-def test_partition_components_match_a_fresh_pair_search(rng):
-    # each component's edges and neighbor masks are those of
-    # connected_components plus a pair search from its first edge, and its
-    # shadow read off the neighbor masks is that search's pair set
-    cols = [planted_partition_instance(15, [6, 5, 2]), uniform_instance(9, 0.9, 4)]
-    cols += [random_coloring(random_hypergraph(12, 0.15, rng), rng) for _ in range(4)]
+def _split_link_graph(edges) -> bool:
+    """True iff some vertex u has a disconnected link graph {zw : uzw an edge}."""
+    graphs: dict[int, dict[int, set[int]]] = {}
+    for e in edges:
+        for u in e:
+            z, w = (v for v in e if v != u)
+            graphs.setdefault(u, {}).setdefault(z, set()).add(w)
+            graphs[u].setdefault(w, set()).add(z)
+    for adj in graphs.values():
+        reached, todo = set(), [next(iter(adj))]
+        while todo:
+            z = todo.pop()
+            if z not in reached:
+                reached.add(z)
+                todo += adj[z]
+        if len(reached) < len(adj):
+            return True
+    return False
+
+
+def test_partition_components_match_a_union_find_reference(rng):
+    # each component's edges, neighbor masks and order are those of an
+    # edge-level union-find (oracle._color_components), with the neighbor
+    # masks read off the component's edges
+    host = Hypergraph3.complete(7)
+    # red 012-123-234-034 is one component, though the link graph of 0 is
+    # {12, 34}: two parts glued only through pairs away from 0
+    glued = Coloring(host, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)])
+    cols = [glued, planted_partition_instance(15, [6, 5, 2]), uniform_instance(9, 0.9, 4)]
+    cols += [random_coloring(random_hypergraph(12, d, rng), rng) for d in (0.1, 0.15, 0.15, 0.3)]
+    cols += [uniform_instance(16, p, seed) for p in (0.05, 0.95) for seed in range(3)]
+    reached = set()
     for col in cols:
         part = partition_vertices(col)
         expected = {}
         for color in (Color.RED, Color.BLUE):
-            sub = col.subhypergraph(color)
-            for comp in connected_components(sub):
-                pairs, masks = pair_component(sub, comp[0][0], comp[0][1])
-                cid = f"{color.value}:{colex_index(comp[0])}"
-                expected[cid] = (comp, set(pairs), masks)
+            comps = _color_components(col, color)
+            for comp in comps:
+                masks = {}
+                for e in comp:
+                    for v in e:
+                        masks[v] = masks.get(v, 0) | sum(1 << x for x in e if x != v)
+                expected[f"{color.value}:{colex_index(comp[0])}"] = (comp, masks)
+                if _split_link_graph(comp):
+                    reached.add("split, one component" if len(comps) == 1 else "split, several components")
         got = {
-            cid: (
-                decode_edges(info.edge_bits),
-                {(x, y) for x, m in info.neighbor_masks.items() for y in mask_bits(m) if x < y},
-                info.neighbor_masks,
-            )
-            for cid, info in part.components.items()
+            cid: (decode_edges(info.edge_bits), info.neighbor_masks) for cid, info in part.components.items()
         }
         assert list(got.items()) == list(expected.items())  # same order too
+    assert reached == {"split, one component", "split, several components"}
 
 
 # -- good edges -------------------------------------------------------------------
