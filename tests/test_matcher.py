@@ -683,6 +683,37 @@ def test_cover_outputs_are_pinned():
     assert digest.hexdigest() == COVER_DIGEST
 
 
+def _move_path_sample():
+    """Sparse n = 12 colorings that take the exchange moves' rarer paths.
+
+    At density 0.3 seeds 0, 23, 25 and 27 each apply a two-for-three; at
+    density 0.05 most covers end with three or more uncovered vertices that
+    lie in some edge, so the one-for-two and two-for-three scans run to the end.
+    """
+    sample = []
+    for d, seeds in ((0.3, (0, 23, 25, 27)), (0.05, range(10))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            sample.append(random_coloring(random_hypergraph(12, d, rng), rng))
+    return sample
+
+
+MOVE_PATH_DIGEST = "97070ed400393090ccecb37284d5793cf9630ed2b56bf2b09dd3fb9ee58f2c76"
+
+
+def test_cover_move_paths_are_pinned():
+    digest = hashlib.sha256()
+    two_for_three = exhausted = 0
+    for col in _move_path_sample():
+        res = cover(col.host, col, GAMMA_DESK)
+        digest.update(canonical_json(cover_to_json(res)).encode())
+        two_for_three += sum(ev["detail"].get("kind") == "two-for-three" for ev in res.trace)
+        in_edges = set().union(*col.host.edges)
+        exhausted += len(set(res.uncovered) & in_edges) >= 3
+    assert two_for_three >= 4 and exhausted >= 5  # the sample still reaches both paths
+    assert digest.hexdigest() == MOVE_PATH_DIGEST
+
+
 # -- verify_cover diagnostics -----------------------------------------------------------
 
 
