@@ -21,18 +21,13 @@ from pathlib import Path
 
 from . import __version__
 from .core import Color, Coloring, Hypergraph3
-from .cycles import (
-    ANY,
-    CyclePair,
-    TightCycle,
-    search_cycle_pair,
-    verify_cycle_pair,
-)
+from .cycles import ANY, search_cycle_pair, verify_cycle_pair
 from .errors import FormatError, RcoverError
 from .formats import (
     canonical_json,
     cover_from_json,
     cover_to_json,
+    cycle_pair_from_json,
     cycle_pair_to_json,
     h3json_dumps,
     int_rows,
@@ -197,18 +192,11 @@ def cmd_verify(args) -> int:
         result = cover_from_json(doc)
         ok, diags = verify_cover(result, h, col)
     elif kind == "cycle-pair":
-        if doc.get("status") != "found":
+        outcome = cycle_pair_from_json(doc)
+        if outcome.pair is None:
             print("nothing to verify: no pair in result", file=sys.stderr)
             return EXIT_ABSENT
-        for key in ("red", "blue", "uncovered"):
-            if not isinstance(doc.get(key), list) or any(type(v) is not int for v in doc[key]):
-                raise FormatError(f"cycle-pair result needs an integer array {key!r}")
-        pair = CyclePair(
-            red=TightCycle(tuple(doc["red"])),
-            blue=TightCycle(tuple(doc["blue"])),
-            uncovered=tuple(doc["uncovered"]),
-        )
-        ok, diags = verify_cycle_pair(pair, h, col)
+        ok, diags = verify_cycle_pair(outcome.pair, h, col)
     else:
         raise ValueError(f"cannot verify result type {kind!r}")
     if ok:

@@ -369,11 +369,6 @@ class Hypergraph3:
         links, n = self.links(), self.n
         return [(x, y) for x in mask_bits(self.vertex_mask) for y in range(x + 1, n) if links[x * n + y]]
 
-    def pair_links(self) -> dict[Pair, int]:
-        """Link mask of every shadow pair (x, y), x < y: a dict view of ``links()``."""
-        links, n = self.links(), self.n
-        return {(x, y): links[x * n + y] for x, y in self.shadow_pairs()}
-
     def link_mask(self, x: int, y: int) -> int:
         """Bitmask of the link N(x, y); 0 when the pair is inactive."""
         if x == y:
@@ -388,12 +383,6 @@ class Hypergraph3:
     def shadow(self) -> set[Pair]:
         """All pairs contained in at least one edge."""
         return set(self.shadow_pairs())
-
-    def neighbor_mask(self, x: int) -> int:
-        """Bitmask of N(x) = { y : xy is in the shadow }: the nonzero entries of row x."""
-        n = self.n
-        row = self.links()[x * n : (x + 1) * n] if 0 <= x < n else ()
-        return sum(1 << y for y, m in enumerate(row) if m)
 
     def __repr__(self) -> str:
         return f"Hypergraph3(n={self.n}, t={self.t}, edges={self.edge_count})"

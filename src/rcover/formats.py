@@ -14,7 +14,8 @@ h3bits
     padding bits after bit C(n,3) - 1 must be zero.
 
 Result payloads (cover results, cycle pairs, oracle reports) are plain JSON
-documents produced by the ``*_to_json`` helpers below; timing data is never
+documents produced by the ``*_to_json`` helpers below, and cover results and
+cycle pairs are read back by the matching ``*_from_json``; timing data is never
 part of them so reruns are byte-identical.
 
 Cover trace
@@ -58,6 +59,15 @@ def int_rows(rows, width: int | None = 3, what: str = "edge") -> list[tuple[int,
     return [tuple(r) for r in rows]
 
 
+def triple_rows(rows, what: str = "edge") -> list[tuple[int, int, int]]:
+    """Ascending triples of non-negative integers from a JSON array; FormatError otherwise."""
+    triples = int_rows(rows, 3, what)
+    for t in triples:
+        if not 0 <= t[0] < t[1] < t[2]:
+            raise FormatError(f"{what} {t} is not an ascending triple of non-negative integers")
+    return triples
+
+
 # -- h3json ------------------------------------------------------------------
 
 
@@ -80,10 +90,7 @@ def h3json_loads(text: str) -> tuple[Hypergraph3, Coloring | None]:
     n = doc["n"]
     if type(n) is not int:
         raise FormatError(f"'n' must be an integer, got {n!r}")
-    edges = int_rows(doc["edges"])
-    for e in edges:
-        if not (e[0] < e[1] < e[2]):
-            raise FormatError(f"edge {e} is not an ascending triple")
+    edges = triple_rows(doc["edges"])
     try:
         h = Hypergraph3(n, edges)
     except MemoryError:  # the edge mask has C(n, 3) bits
@@ -174,9 +181,9 @@ def matching_from_json(doc) -> "ConnectedMatching":
 
     return ConnectedMatching(
         color=Color(doc["color"]),
-        edges=tuple(int_rows(doc["edges"])),
+        edges=tuple(triple_rows(doc["edges"])),
         component_id=doc["component"],
-        certificates=tuple(PseudoPath(tuple(int_rows(p))) for p in doc["certificates"]),
+        certificates=tuple(PseudoPath(tuple(triple_rows(p, "certificate edge"))) for p in doc["certificates"]),
     )
 
 
@@ -215,6 +222,23 @@ def cycle_pair_to_json(outcome) -> dict:
         doc["blue"] = list(outcome.pair.blue.order)
         doc["uncovered"] = list(outcome.pair.uncovered)
     return doc
+
+
+def cycle_pair_from_json(doc) -> "SearchOutcome":
+    from .cycles import CyclePair, SearchOutcome, TightCycle
+
+    if not isinstance(doc, dict) or doc.get("type") != "cycle-pair":
+        raise FormatError("not a cycle-pair result document")
+    status = doc.get("status")
+    if status not in ("found", "exhausted", "timeout"):
+        raise FormatError(f"cycle-pair result has unknown status {status!r}")
+    if status != "found":
+        return SearchOutcome(status)
+    for key in ("red", "blue", "uncovered"):
+        if not isinstance(doc.get(key), list) or any(type(v) is not int for v in doc[key]):
+            raise FormatError(f"cycle-pair result needs an integer array {key!r}")
+    pair = CyclePair(TightCycle(tuple(doc["red"])), TightCycle(tuple(doc["blue"])), tuple(doc["uncovered"]))
+    return SearchOutcome(status, pair)
 
 
 def oracle_report_to_json(rep) -> dict:

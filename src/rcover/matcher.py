@@ -8,12 +8,13 @@ The pipeline mirrors a constructive covering argument for almost-complete
    (1 - delta) * |V(K)| with delta = 10 * gamma^(1/6).
 2. ``partition_vertices``: each color's major component is its largest
    monochromatic component (most vertices, then most edges, then the first
-   in component order); its vertex set is that color's core.
-3. ``local_search_matching``: grow two disjoint matchings inside the major
-   components with three exchange moves, each strictly increasing the number
-   of covered vertices: greedy edge addition, one-for-two swaps and
-   two-for-three swaps.  Every edge a move adds is an edge of a major
-   component.
+   in component order); only the two majors are kept, and a major's vertex
+   set is that color's core.
+3. ``local_search_matching``: grow two disjoint matchings, held together as
+   one colex edge mask, inside the major components with three exchange
+   moves, each strictly increasing the number of covered vertices: greedy
+   edge addition, one-for-two swaps and two-for-three swaps.  Every edge a
+   move adds is an edge of a major component.
 4. ``verify_cover`` certifies the result.
 
 The covering argument closes with a residual branch that perfectly matches
@@ -160,7 +161,7 @@ def check_clean_properties(k: Hypergraph3, gamma: float) -> tuple[bool, list[str
 
 @dataclass(frozen=True)
 class ComponentInfo:
-    """One monochromatic component: its colex edge mask and neighbor masks.
+    """A color's major component: its id, colex edge mask and neighbor masks.
 
     ``neighbor_masks[x]`` is the mask of the partners of x in the
     component's shadow, so xy is a shadow pair iff y is in it.
@@ -176,19 +177,21 @@ class ComponentInfo:
 
 @dataclass(frozen=True)
 class ColorPartition:
-    """Every monochromatic component by id, and each color's major one.
+    """Each color's major component (None for a color with no edge) and the majors' ids."""
 
-    ``major_red`` and ``major_blue`` are component ids, None for a color
-    with no edge.
-    """
+    red: ComponentInfo | None
+    blue: ComponentInfo | None
 
-    major_red: str | None
-    major_blue: str | None
-    components: dict[str, ComponentInfo]
+    @property
+    def major_red(self) -> str | None:
+        return None if self.red is None else self.red.cid
+
+    @property
+    def major_blue(self) -> str | None:
+        return None if self.blue is None else self.blue.cid
 
     def major(self, color: Color) -> ComponentInfo | None:
-        cid = self.major_red if color is Color.RED else self.major_blue
-        return None if cid is None else self.components[cid]
+        return self.red if color is Color.RED else self.blue
 
     def core(self, color: Color) -> tuple[int, ...]:
         """The vertices of the color's major component, ascending."""
@@ -197,26 +200,20 @@ class ColorPartition:
 
 
 def partition_vertices(col: Coloring) -> ColorPartition:
-    """All monochromatic components of the host; each color's largest is its major.
+    """Each color's major: its largest monochromatic component.
 
-    Components are listed red first, each color's by first edge.  The major
-    of a color has the most vertices, then the most edges, then comes first
-    in that order.
+    A color's components come in order of their first edge.  The major has
+    the most vertices, then the most edges, then comes first in that order;
+    its id is the color and the colex index of its first edge.
     """
-    components: dict[str, ComponentInfo] = {}
-    majors: list[str | None] = []
+    majors = []
     for color in (Color.RED, Color.BLUE):
-        infos = [
-            ComponentInfo(f"{color.value}:{(bits & -bits).bit_length() - 1}", bits, partners)
-            for bits, partners in shadow_components(col.subhypergraph(color))
-        ]
-        components.update((info.cid, info) for info in infos)
+        comps = shadow_components(col.subhypergraph(color))
         # a component's vertices are its partner keys; max keeps the first of equal keys
-        major = max(
-            infos, key=lambda info: (len(info.neighbor_masks), info.edge_bits.bit_count()), default=None
-        )
-        majors.append(None if major is None else major.cid)
-    return ColorPartition(*majors, components)
+        bits, partners = max(comps, key=lambda comp: (len(comp[1]), comp[0].bit_count()), default=(0, {}))
+        cid = f"{color.value}:{(bits & -bits).bit_length() - 1}"
+        majors.append(ComponentInfo(cid, bits, partners) if bits else None)
+    return ColorPartition(*majors)
 
 
 # -- connected matchings -------------------------------------------------------
@@ -322,15 +319,15 @@ def build_matching(
 
 
 def local_search_matching(
-    k: Hypergraph3,
     col: Coloring,
     part: ColorPartition,
 ) -> tuple[ConnectedMatching, ConnectedMatching, list[dict]]:
     """Exchange-move local search for two disjoint major-component matchings.
 
-    Every edge a move adds is an edge of a major component.  Moves, each
-    strictly increasing the covered-vertex count by three, are tried in
-    order and the first applicable one fires:
+    Both matchings are one colex edge mask over the host ``col.host``; an
+    edge's matching is its color.  Every edge a move adds is an edge of a
+    major component.  Moves, each strictly increasing the covered-vertex
+    count by three, are tried in order and the first applicable one fires:
 
     * greedy-add: the smallest fully-uncovered major edge, the lowest set
       bit of the two major edge masks restricted to the triples inside the
@@ -343,26 +340,19 @@ def local_search_matching(
 
     Returns the two matchings plus the applied-move trace.
     """
-    matching: dict[Color, set[Triple]] = {Color.RED: set(), Color.BLUE: set()}
+    k = col.host
+    chosen = 0  # the edges of both matchings
     covered = 0
     moves: list[dict] = []
 
     # the two colours share no edge, so the sum is the union of the masks
-    major_bits = sum(info.edge_bits for info in map(part.major, (Color.RED, Color.BLUE)) if info is not None)
+    major_bits = sum(info.edge_bits for info in (part.red, part.blue) if info is not None)
 
     def major_edge(t: Triple) -> bool:
         return major_bits >> colex_index(t) & 1 == 1
 
-    def try_greedy_add():
-        free = major_bits & within_mask(k.vertex_mask & ~covered)
-        if free:
-            return ("greedy-add", (), (colex_inverse((free & -free).bit_length() - 1),))
-        return None
-
-    def try_one_for_two():
-        uncov = k.vertex_mask & ~covered
-        pool = sorted(matching[Color.RED] | matching[Color.BLUE], key=colex_index)
-        for e in pool:
+    def try_one_for_two(uncov: int):
+        for e in decode_edges(chosen):
             cands = decode_edges(major_bits & within_mask(uncov | triple_mask(e)))
             for i, f1 in enumerate(cands):
                 m1 = triple_mask(f1)
@@ -371,81 +361,58 @@ def local_search_matching(
                         return ("one-for-two", (e,), (f1, f2))
         return None
 
-    def try_two_for_three():
-        uncov = k.vertex_mask & ~covered
-        for mcolor in (Color.RED, Color.BLUE):
-            pool = sorted(matching[mcolor], key=colex_index)
-            for i1 in range(len(pool)):
-                for i2 in range(i1 + 1, len(pool)):
-                    e1, e2 = pool[i1], pool[i2]
+    def try_two_for_three(uncov: int):
+        for color_bits in (col.red_bits, col.blue_bits):
+            pool = decode_edges(chosen & color_bits)
+            for i1, e1 in enumerate(pool):
+                for e2 in pool[i1 + 1 :]:
                     for u1 in e1:
-                        p1 = tuple(v for v in e1 if v != u1)
-                        amask = k.link_mask(*p1) & uncov
-                        for a in mask_bits(amask):
-                            f1 = canon_triple(p1[0], p1[1], a)
+                        x1, y1 = (v for v in e1 if v != u1)
+                        for a in mask_bits(k.link_mask(x1, y1) & uncov):
+                            f1 = canon_triple(x1, y1, a)
                             if not major_edge(f1):
                                 continue
                             for u2 in e2:
-                                p2 = tuple(v for v in e2 if v != u2)
-                                bmask = k.link_mask(*p2) & uncov & ~(1 << a)
-                                for b in mask_bits(bmask):
-                                    f2 = canon_triple(p2[0], p2[1], b)
+                                x2, y2 = (v for v in e2 if v != u2)
+                                for b in mask_bits(k.link_mask(x2, y2) & uncov & ~(1 << a)):
+                                    f2 = canon_triple(x2, y2, b)
                                     if not major_edge(f2):
                                         continue
-                                    cmask = (
-                                        k.link_mask(u1, u2)
-                                        & uncov
-                                        & ~(1 << a)
-                                        & ~(1 << b)
-                                    )
-                                    for c in mask_bits(cmask):
+                                    for c in mask_bits(k.link_mask(u1, u2) & uncov & ~(1 << a | 1 << b)):
                                         f3 = canon_triple(u1, u2, c)
                                         if major_edge(f3):
-                                            return (
-                                                "two-for-three",
-                                                (e1, e2),
-                                                (f1, f2, f3),
-                                            )
+                                            return ("two-for-three", (e1, e2), (f1, f2, f3))
         return None
 
     # every move covers three more vertices, so none fits once fewer than three are uncovered
-    while (k.vertex_mask & ~covered).bit_count() >= 3:
-        move = try_greedy_add() or try_one_for_two() or try_two_for_three()
-        if move is None:
-            break
+    while (uncov := k.vertex_mask & ~covered).bit_count() >= 3:
+        free = major_bits & within_mask(uncov)
+        if free:
+            move = ("greedy-add", (), (colex_inverse((free & -free).bit_length() - 1),))
+        else:
+            move = try_one_for_two(uncov) or try_two_for_three(uncov)
+            if move is None:
+                break
         kind, removed, added = move
         before = covered.bit_count()
-        for t in removed:
-            matching[col.color_of(t)].discard(t)
+        for t in removed:  # a matching edge shares no vertex with the edges that stay
+            chosen &= ~(1 << colex_index(t))
+            covered &= ~triple_mask(t)
         for t in added:
             if not major_edge(t):
                 raise RcoverError(f"exchange produced {t} outside its major component")
-            matching[col.color_of(t)].add(t)
-        covered = 0
-        for color in (Color.RED, Color.BLUE):
-            for t in matching[color]:
-                covered |= triple_mask(t)
+            chosen |= 1 << colex_index(t)
+            covered |= triple_mask(t)
         after = covered.bit_count()
         if after <= before:
             raise RcoverError(f"move {kind} did not increase coverage")
-        moves.append(
-            {
-                "stage": "move",
-                "detail": {
-                    "kind": kind,
-                    "removed": [list(t) for t in removed],
-                    "added": [list(t) for t in added],
-                    "covered": after,
-                },
-            }
-        )
+        detail = {"kind": kind, "removed": [list(t) for t in removed], "added": [list(t) for t in added]}
+        detail["covered"] = after
+        moves.append({"stage": "move", "detail": detail})
 
-    red_cm = build_matching(
-        col, Color.RED, matching[Color.RED], part.major_red if matching[Color.RED] else None
-    )
-    blue_cm = build_matching(
-        col, Color.BLUE, matching[Color.BLUE], part.major_blue if matching[Color.BLUE] else None
-    )
+    # an empty matching gets no component id from build_matching
+    red_cm = build_matching(col, Color.RED, decode_edges(chosen & col.red_bits), part.major_red)
+    blue_cm = build_matching(col, Color.BLUE, decode_edges(chosen & col.blue_bits), part.major_blue)
     return red_cm, blue_cm, moves
 
 
@@ -671,7 +638,7 @@ def cover(h: Hypergraph3, col: Coloring, gamma: float) -> CoverResult:
     k, report = clean(h, gamma)
     col_k = col if k is h else col.restrict(k)
     part = partition_vertices(col_k)
-    red, blue, moves = local_search_matching(k, col_k, part)
+    red, blue, moves = local_search_matching(col_k, part)
     trace = [
         {
             "stage": "clean",

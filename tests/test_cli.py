@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,11 +170,16 @@ def test_bad_input_is_exit_1(tmp_path):
     assert main(["solve", "--input", str(bogus), "--gamma", "1e-3"]) == 1
 
 
+# child processes import the package from src/, as the tests in this process do
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "rcover.cli", "--version"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "rcover" in proc.stdout
@@ -181,7 +187,7 @@ def test_console_script_installed():
 
 def _cli(*args, env_extra=None):
     """Run the CLI in a child process; returns (exit code, stderr)."""
-    env = dict(os.environ, **(env_extra or {}))
+    env = dict(CHILD_ENV, **(env_extra or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "rcover.cli", *args], capture_output=True, text=True, env=env
     )
@@ -208,6 +214,15 @@ def test_verify_cover_missing_fields_is_one_line(tmp_path):
 
 def test_verify_json_list_is_one_line(tmp_path):
     _assert_one_line_error(*_verify_doc(tmp_path, [1, 2, 3]))
+
+
+def test_verify_cover_negative_edge_is_one_line(tmp_path):
+    red = {"color": "R", "edges": [[-3, -2, -1]], "component": "R:0", "certificates": []}
+    blue = {"color": "B", "edges": [], "component": None, "certificates": []}
+    doc = {"type": "cover", "red": red, "blue": blue, "covered": 3, "uncovered": [], "trace": []}
+    rc, err = _verify_doc(tmp_path, doc)
+    _assert_one_line_error(rc, err)
+    assert "(-3, -2, -1)" in err
 
 
 def test_verify_cycle_pair_missing_blue_is_one_line(tmp_path):

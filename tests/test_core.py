@@ -101,15 +101,15 @@ def test_link_same_vertex_error():
 
 
 def test_link_shadow_symmetry_random(rng):
-    # y in N(x)  <=>  x in N(y)  <=>  N(x,y) nonempty
+    # xy in the shadow  <=>  N(x,y) nonempty  <=>  rows x and y of links() hold it
     for _ in range(30):
         h = random_hypergraph(rng.randint(4, 15), 0.3, rng)
+        links = h.links()
         for x in range(h.n):
             for y in range(x + 1, h.n):
                 in_shadow = (x, y) in h.shadow()
                 assert bool(h.link(x, y)) == in_shadow
-                assert bool(h.neighbor_mask(x) >> y & 1) == in_shadow
-                assert bool(h.neighbor_mask(y) >> x & 1) == in_shadow
+                assert bool(links[x * h.n + y]) == bool(links[y * h.n + x]) == in_shadow
 
 
 def _reference_links(h):
@@ -145,7 +145,6 @@ def test_pair_links_match_edge_by_edge_reference(rng):
     hosts = [random_hypergraph(20, d, rng) for d in (0.2, 0.5, 0.8)]
     hosts += [h.induced(range(3, 17)) for h in hosts]
     for h in complete + induced + small + hosts:
-        assert h.pair_links() == _reference_links(h)
         _assert_flat_links(h, _reference_links(h))
 
 
@@ -159,7 +158,6 @@ def test_color_links_match_edge_by_edge_reference(rng):
     for col in cols:
         for color in (Color.RED, Color.BLUE):
             sub = col.subhypergraph(color)
-            assert sub.pair_links() == _reference_links(sub)
             _assert_flat_links(sub, _reference_links(sub))
 
 

@@ -1,12 +1,19 @@
 """File formats: h3json/h3bits round trips, exact bytes, result payloads."""
 
+import json
+import re
+
 import pytest
 
 from rcover.core import Coloring, Hypergraph3
+from rcover.cycles import SearchOutcome, search_cycle_pair
 from rcover.errors import FormatError
 from rcover.formats import (
+    canonical_json,
     cover_from_json,
     cover_to_json,
+    cycle_pair_from_json,
+    cycle_pair_to_json,
     h3bits_dumps,
     h3bits_loads,
     h3json_dumps,
@@ -55,6 +62,7 @@ def test_h3json_type_checks():
         '{"n": 5, "edges": [7]}',
         '{"n": 5, "edges": 7}',
         '{"n": 5, "edges": [[0, 1, 2]], "colors": 1}',
+        '{"n": 5, "edges": [[-3, -2, -1]]}',
     ):
         with pytest.raises(FormatError):
             h3json_loads(text)
@@ -68,6 +76,24 @@ def test_cover_from_json_rejects_malformed_documents():
     for doc in ({"type": "cover"}, [], dict(good, red=1), dict(good, blue=None), bad_edges):
         with pytest.raises(FormatError):
             cover_from_json(doc)
+    # a negative or non-ascending triple is named, in the edges or in a certificate
+    negative = dict(good, red=dict(good["red"], edges=[[-3, -2, -1]]))
+    descending = dict(good, blue=dict(good["blue"], certificates=[[[0, 1, 2], [4, 3, 5]]]))
+    for doc, named in ((negative, "(-3, -2, -1)"), (descending, "(4, 3, 5)")):
+        with pytest.raises(FormatError, match=re.escape(named)):
+            cover_from_json(doc)
+
+
+def test_cycle_pair_json_round_trip():
+    col = uniform_instance(8, 0.5, 3)
+    found = search_cycle_pair(col.host, col, max_uncovered=2)
+    assert found.found
+    for outcome in (found, SearchOutcome("exhausted"), SearchOutcome("timeout")):
+        doc = json.loads(canonical_json(cycle_pair_to_json(outcome)))
+        assert cycle_pair_from_json(doc) == outcome
+    for doc in ({"type": "cover"}, {"type": "cycle-pair"}, {"type": "cycle-pair", "status": "found"}):
+        with pytest.raises(FormatError):
+            cycle_pair_from_json(doc)
 
 
 def test_h3bits_exact_bytes():

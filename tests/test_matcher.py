@@ -15,6 +15,7 @@ from rcover.core import (
     PseudoPath,
     colex_index,
     decode_edges,
+    shadow_components,
 )
 from rcover.errors import BranchInapplicableError, CleanupExhaustedError
 from rcover.formats import canonical_json, cover_to_json
@@ -135,11 +136,17 @@ def test_clean_fixpoint_random_near_complete(rng):
 # -- partition ------------------------------------------------------------------
 
 
+def _component_ids(col, color):
+    """Ids of the color's components in component order, as ``partition_vertices`` names them."""
+    comps = shadow_components(col.subhypergraph(color))
+    return [f"{color.value}:{(bits & -bits).bit_length() - 1}" for bits, _ in comps]
+
+
 def test_partition_all_red():
     col = monochromatic_instance(8, Color.RED)
     part = partition_vertices(col)
     assert part.major_red is not None and part.major_blue is None
-    assert list(part.components) == [part.major_red]
+    assert _component_ids(col, Color.RED) == [part.major_red]
     assert part.core(Color.RED) == tuple(range(8))
     assert part.core(Color.BLUE) == ()
 
@@ -155,9 +162,9 @@ def test_partition_vertex_sign_example():
     assert part.core(Color.RED) == tuple(range(5))
     assert part.core(Color.BLUE) == tuple(range(10))
     # independent check of the blue major's vertex count
-    blue_sub = col.subhypergraph(Color.BLUE)
+    blue_links = col.subhypergraph(Color.BLUE).links()
     for x in range(10):
-        assert blue_sub.neighbor_mask(x).bit_count() == 9
+        assert sum(1 for m in blue_links[x * 10 : (x + 1) * 10] if m) == 9
 
 
 def test_partition_tie_prefers_red():
@@ -169,8 +176,9 @@ def test_partition_tie_prefers_red():
     assert part.core(Color.RED) == (0, 1, 2) and part.core(Color.BLUE) == (3, 4, 5)
     # both edges red: two red components tie on vertices and edges, and
     # the first in component order wins
-    part = partition_vertices(Coloring(h, h.edges))
-    assert list(part.components) == ["R:0", "R:19"]
+    col = Coloring(h, h.edges)
+    part = partition_vertices(col)
+    assert _component_ids(col, Color.RED) == ["R:0", "R:19"]
     assert (part.major_red, part.major_blue) == ("R:0", None)
 
 
@@ -185,9 +193,10 @@ def test_partition_major_is_the_largest_component():
     # with (0, 1, 8) both have 5 vertices; the path, grown to 6 edges,
     # beats the K4's 5 although it comes later in component order
     more = red + [(0, 1, 8), (4, 5, 7), (4, 6, 7), (5, 6, 8)]
-    part = partition_vertices(Coloring(host, more))
+    col = Coloring(host, more)
+    part = partition_vertices(col)
     assert part.core(Color.RED) == (4, 5, 6, 7, 8)
-    assert list(part.components).index(part.major_red) == 1
+    assert _component_ids(col, Color.RED).index(part.major_red) == 1
 
 
 def _split_link_graph(edges) -> bool:
@@ -211,9 +220,9 @@ def _split_link_graph(edges) -> bool:
 
 
 def test_partition_components_match_a_union_find_reference(rng):
-    # each component's edges, neighbor masks and order are those of an
-    # edge-level union-find (oracle._color_components), with the neighbor
-    # masks read off the component's edges
+    # each color's shadow_components (every component, its edges, partner
+    # masks and order) are those of an edge-level union-find
+    # (oracle._color_components), with the partner masks read off the edges
     host = Hypergraph3.complete(7)
     # red 012-123-234-034 is one component, though the link graph of 0 is
     # {12, 34}: two parts glued only through pairs away from 0
@@ -223,22 +232,19 @@ def test_partition_components_match_a_union_find_reference(rng):
     cols += [uniform_instance(16, p, seed) for p in (0.05, 0.95) for seed in range(3)]
     reached = set()
     for col in cols:
-        part = partition_vertices(col)
-        expected = {}
         for color in (Color.RED, Color.BLUE):
+            expected = []
             comps = _color_components(col, color)
             for comp in comps:
                 masks = {}
                 for e in comp:
                     for v in e:
                         masks[v] = masks.get(v, 0) | sum(1 << x for x in e if x != v)
-                expected[f"{color.value}:{colex_index(comp[0])}"] = (comp, masks)
+                expected.append((comp, masks))
                 if _split_link_graph(comp):
                     reached.add("split, one component" if len(comps) == 1 else "split, several components")
-        got = {
-            cid: (decode_edges(info.edge_bits), info.neighbor_masks) for cid, info in part.components.items()
-        }
-        assert list(got.items()) == list(expected.items())  # same order too
+            got = [(decode_edges(bits), partners) for bits, partners in shadow_components(col.subhypergraph(color))]
+            assert got == expected  # same order too
     assert reached == {"split, one component", "split, several components"}
 
 
@@ -265,7 +271,7 @@ def test_good_edge_witness():
     good = set(decode_edges(red.edge_bits | blue.edge_bits))
     assert good == set(host.edges) - {(6, 7, 8)}
     assert {(0, 1, 2), (0, 1, 6), (0, 5, 6)} <= good
-    _, _, moves = local_search_matching(host, col, part)
+    _, _, moves = local_search_matching(col, part)
     assert {tuple(t) for ev in moves for t in ev["detail"]["added"]} <= good
 
 
@@ -275,7 +281,7 @@ def test_good_edge_witness():
 def test_local_search_all_red_k6_perfect():
     col = monochromatic_instance(6, Color.RED)
     part = partition_vertices(col)
-    red_m, blue_m, _ = local_search_matching(col.host, col, part)
+    red_m, blue_m, _ = local_search_matching(col, part)
     assert red_m.edges == ((0, 1, 2), (3, 4, 5))
     assert blue_m.edges == ()
 
@@ -283,7 +289,7 @@ def test_local_search_all_red_k6_perfect():
 def test_local_search_all_red_k7_leaves_one():
     col = monochromatic_instance(7, Color.RED)
     part = partition_vertices(col)
-    red_m, blue_m, _ = local_search_matching(col.host, col, part)
+    red_m, blue_m, _ = local_search_matching(col, part)
     assert red_m.covered() == 6 and blue_m.covered() == 0
 
 
@@ -303,7 +309,7 @@ def test_local_search_two_for_three_move_fires():
     h = Hypergraph3(9, red_edges + blue_edges)
     col = Coloring(h, red_edges)
     part = partition_vertices(col)
-    red_m, blue_m, moves = local_search_matching(h, col, part)
+    red_m, blue_m, moves = local_search_matching(col, part)
     kinds = [m["detail"]["kind"] for m in moves]
     assert kinds == ["greedy-add", "greedy-add", "two-for-three"]
     assert red_m.edges == ((0, 3, 6),)
